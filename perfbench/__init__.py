@@ -1,0 +1,6 @@
+"""The repository's benchmark: both data planes and their shared control
+plane, measured end to end and layer by layer.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
