@@ -1,13 +1,12 @@
 """Simulated cloud cluster substrate (paper §6.1 testbed)."""
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import COMPUTE, COORDINATOR, STORAGE, Node
-from repro.cluster.rpc import RpcModel, plan_construction_requests
+from repro.cluster.rpc import RpcModel
 
 __all__ = [
     "Cluster",
     "Node",
     "RpcModel",
-    "plan_construction_requests",
     "COMPUTE",
     "COORDINATOR",
     "STORAGE",

@@ -1,4 +1,4 @@
-"""Simulated cluster: topology, task placement, and network accounting.
+"""Simulated cluster: topology and task placement.
 
 ``Cluster.presto_testbed()`` reproduces the paper's §6.1 deployment. Task
 placement is round-robin over compute nodes, matching Presto's node
@@ -9,7 +9,6 @@ on exactly two nodes to provoke a shuffle bottleneck, §6.4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.cluster.node import COMPUTE, COORDINATOR, STORAGE, Node
 
@@ -79,20 +78,3 @@ class Cluster:
         if pinned:
             return [self.node(pinned[i % len(pinned)]) for i in range(count)]
         return [self.place_task() for _ in range(count)]
-
-    # ---------------------------------------------------------------- network
-    def reset_nic_loads(self) -> None:
-        for n in self.nodes:
-            n.nic_load_bytes_per_s = 0.0
-
-    def charge_nic(self, node_ids: Iterator[str] | list[str], bytes_per_s: float) -> None:
-        """Spread a flow's bandwidth over the named nodes' NICs."""
-        ids = list(node_ids)
-        if not ids:
-            return
-        share = bytes_per_s / len(ids)
-        for nid in ids:
-            self.node(nid).nic_load_bytes_per_s += share
-
-    def max_nic_utilization(self) -> float:
-        return max((n.nic_utilization() for n in self.nodes), default=0.0)

@@ -4,12 +4,13 @@ The paper's testbed is 21 AWS EC2 c5.2xlarge instances (8 vCPU, 16 GB RAM,
 10 Gbps NIC): 1 coordinator, 10 storage nodes, 10 compute nodes (§6.1).
 A :class:`Node` models exactly the quantities the evaluation depends on:
 core count (CPU saturation — why the paper's "third adjustment for stage 1
-does not enhance throughput"), NIC bandwidth (network-bottleneck detection,
-§5.1), and driver occupancy (the predictor's ``n_f`` cap, §5.3).
+does not enhance throughput") and driver occupancy (the predictor's ``n_f``
+cap, §5.3). The network is not modelled per NIC: shuffle throughput is
+capped per task (``StageCost.out_shuffle_rate_mb_s``, §6.4.2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Roles a node can play in the simulated cluster.
 COORDINATOR = "coordinator"
@@ -32,8 +33,6 @@ class Node:
     cores: int = 8
     nic_gbps: float = 10.0
     active_drivers: int = 0
-    #: bytes/s of NIC traffic attributed to this node in the current tick.
-    nic_load_bytes_per_s: float = field(default=0.0, repr=False)
 
     def cpu_scale(self) -> float:
         """Per-driver rate multiplier: 1.0 until cores are oversubscribed."""
@@ -62,10 +61,6 @@ class Node:
     def nic_bytes_per_s(self) -> float:
         """NIC capacity in bytes/second (10 Gbps -> 1.25 GB/s)."""
         return self.nic_gbps * 1e9 / 8.0
-
-    def nic_utilization(self) -> float:
-        cap = self.nic_bytes_per_s()
-        return min(1.0, self.nic_load_bytes_per_s / cap) if cap else 1.0
 
     def add_drivers(self, n: int) -> None:
         self.active_drivers += n

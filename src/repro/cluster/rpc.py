@@ -31,16 +31,3 @@ class RpcModel:
     def batch_cost_s(self, n_requests: int) -> float:
         """Total latency of ``n_requests`` issued sequentially."""
         return sum(self.request_cost_s() for _ in range(n_requests))
-
-
-def plan_construction_requests(n_stages: int, tasks_per_stage: int) -> int:
-    """Number of RESTful requests to construct the initial execution plan.
-
-    Per task: one create request plus one address-update request to each
-    parent-stage task; plus one status request per stage. Calibrated so the
-    paper's Q3 (6 stages, DOP 1) lands near 65 requests.
-    """
-    n_tasks = n_stages * tasks_per_stage
-    # create + child-address set + parent notification per task, status per
-    # stage, plus a handful of coordinator round-trips for the query itself.
-    return 3 * n_tasks + n_stages + 5 * n_stages + 5

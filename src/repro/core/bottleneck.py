@@ -8,8 +8,8 @@ between two collector snapshots. The coordinator walks the stage info tree
 and flags stages whose counters did not move.
 
 Non-computational (network) bottlenecks are flagged from the shuffle-path
-saturation signal (NIC / shuffle-executor bound stages), mirroring the
-coordinator's NIC-utilization check.
+saturation signal (stages bound by their per-task shuffle cap), which
+stands in for the coordinator's NIC-utilization check.
 """
 from __future__ import annotations
 

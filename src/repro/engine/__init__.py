@@ -1,8 +1,9 @@
 """Presto-style execution engine substrate + Accordion's runtime elasticity.
 
-Layering (bottom-up): pages/splits -> plan (fragments/stage tree) ->
-pipelines/operators -> buffers -> tasks/stages -> scheduler (static +
-dynamic) -> hashjoin (DOP switching) -> exec_sim (timing data plane).
+Layering (bottom-up): splits -> plan (fragments/stage tree) -> buffers
+(output-buffer ID groups) -> tasks (driver counts)/stages -> scheduler
+(static + dynamic) -> hashjoin (DOP switching) -> exec_sim (byte-flow
+timing data plane; exec_spark maps DOP scripts onto Spark).
 """
 from repro.engine.exec_sim import SimExecutor, SimQuery, StageCost, TuningOutcome
 from repro.engine.plan import StageTree, fragment_plan

@@ -1,209 +1,49 @@
-"""Task output buffers and the runtime elastic buffer (§4.2, Figs. 10–11).
+"""Task output buffers (§4.2.1, Fig. 10).
 
 Accordion redistributes responsibility to the task output buffer: it does
 data distribution, shuffling, and parallelism-variation adaptation, so a
 downstream DOP change only touches the buffers, not drivers/operators.
 
-* ``SharedBuffer`` — page queue + page cache + dynamic buffer-ID array;
-  downstream tasks fetch by buffer id (round-robin page distribution).
-* ``ShuffleBuffer`` — adds shufflers whose executors hash-partition pages
-  into per-buffer-id queues; buffer ids are grouped by shuffler into
-  buffer-ID groups, whose downstream tasks form **task groups** (the unit
-  of §4.5 DOP switching).
-* ``RuntimeElasticBuffer`` — §4.2.2: capacity starts at one page and is
-  adjusted by the *consumer*: grow immediately when found empty (each grow
-  bumps the **turn-up counter**, the §5.1 bottleneck signal), and resize
-  every 500 ms to track the consumption rate.
+The byte flow itself is simulated in ``exec_sim``; what this module keeps
+is the topology the scheduler maintains: one buffer id per downstream task,
+grouped into **buffer-ID groups**. A shuffle buffer hash-partitions its
+output across a group (one shuffle executor per id) and its groups are the
+downstream **task groups** — the unit of §4.5 DOP switching. A shared
+buffer hands pages round-robin to whoever asks, so it has a single group.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from repro.engine.pages import Page, end_page
-
 
 @dataclass
-class RuntimeElasticBuffer:
-    """Consumer-resized bounded page buffer with a turn-up counter."""
+class OutputBuffer:
+    """One stage's output buffer: the shuffle flag plus buffer-ID groups."""
 
-    capacity_pages: int = 1
-    resize_interval_s: float = 0.5
-    queue: deque = field(default_factory=deque)
-    turn_up_counter: int = 0
-    consumed_since_resize: int = 0
-    _last_resize_t: float = 0.0
-    ended: bool = False
-
-    # ---------------------------------------------------------- producer side
-    def free_slots(self) -> int:
-        return max(0, self.capacity_pages - len(self.queue))
-
-    def offer(self, page: Page) -> bool:
-        """Producer push; end pages always fit (they carry no data)."""
-        if page.is_end:
-            self.queue.append(page)
-            self.ended = True
-            return True
-        if self.free_slots() <= 0:
-            return False
-        self.queue.append(page)
-        return True
-
-    # ---------------------------------------------------------- consumer side
-    def pull(self) -> Page | None:
-        """Consumer pop. Finding the buffer empty means the consumer out-
-        paces the producer: grow capacity (and count the turn-up, §5.1)."""
-        if not self.queue:
-            if not self.ended:
-                self.turn_up_counter += 1
-                self.capacity_pages += 1
-            return None
-        page = self.queue.popleft()
-        if not page.is_end:
-            self.consumed_since_resize += 1
-        return page
-
-    def tick(self, now_s: float) -> None:
-        """Periodic consumer-side resize to match the consumption rate:
-        cache roughly what was consumed in the last interval (§4.2.2)."""
-        if now_s - self._last_resize_t < self.resize_interval_s:
-            return
-        self._last_resize_t = now_s
-        # never shrink below what is currently buffered — shrinking must
-        # not strand already-accepted pages
-        self.capacity_pages = max(1, self.consumed_since_resize, len(self.queue))
-        self.consumed_since_resize = 0
-
-    def __len__(self) -> int:
-        return len(self.queue)
-
-
-@dataclass
-class SharedBuffer:
-    """Task output buffer without reshuffling: one page queue, fetched by
-    buffer id; the buffer-ID array tracks downstream DOP dynamically."""
-
-    buffer_ids: list[int] = field(default_factory=list)
-    queue: deque = field(default_factory=deque)
-    #: §4.2.1 page cache: retained pages for build-side redistribution.
-    page_cache: list[Page] = field(default_factory=list)
-    caching: bool = False
-    _ended: bool = False
-    _end_delivered: set[int] = field(default_factory=set)
-
-    def put(self, page: Page) -> None:
-        if page.is_end:
-            self._ended = True
-            return
-        if self.caching:
-            self.page_cache.append(page)
-        self.queue.append(page)
-
-    def get(self, buffer_id: int) -> Page | None:
-        """Round-robin distribution: any consumer takes the head page."""
-        if buffer_id not in self.buffer_ids:
-            raise KeyError(f"unknown buffer id {buffer_id}")
-        if self.queue:
-            return self.queue.popleft()
-        if self._ended and buffer_id not in self._end_delivered:
-            self._end_delivered.add(buffer_id)
-            return end_page()
-        return None
-
-    # --------------------------------------------- downstream DOP adaptation
-    def add_buffer_id(self, buffer_id: int) -> None:
-        if buffer_id in self.buffer_ids:
-            raise ValueError(f"duplicate buffer id {buffer_id}")
-        self.buffer_ids.append(buffer_id)
-
-    def remove_buffer_id(self, buffer_id: int) -> None:
-        self.buffer_ids.remove(buffer_id)
-        self._end_delivered.discard(buffer_id)
-
-    def send_end_signal(self) -> None:
-        """§4.3/§4.4: an end signal makes the buffer emit end pages to every
-        downstream consumer, triggering graceful shutdown."""
-        self._ended = True
-
-
-@dataclass
-class Shuffler:
-    """One shuffler: holds a group of buffer ids and one shuffle executor
-    (thread) per id; pages are hash-partitioned across the group."""
-
-    shuffler_id: int
-    buffer_ids: list[int] = field(default_factory=list)
-    queues: dict[int, deque] = field(default_factory=dict)
-
-    def add_id(self, buffer_id: int) -> None:
-        self.buffer_ids.append(buffer_id)
-        self.queues[buffer_id] = deque()
-
-    def remove_id(self, buffer_id: int) -> None:
-        self.buffer_ids.remove(buffer_id)
-        del self.queues[buffer_id]
+    shuffle: bool = False
+    groups: list[list[int]] = field(default_factory=list)
 
     @property
-    def n_executors(self) -> int:
-        """Executor threads == number of downstream tasks served (§4.2.1)."""
-        return len(self.buffer_ids)
+    def buffer_ids(self) -> list[int]:
+        return [bid for g in self.groups for bid in g]
 
-    def shuffle(self, page: Page, key: int) -> None:
-        bid = self.buffer_ids[key % len(self.buffer_ids)]
-        self.queues[bid].append(page)
+    def add_id(self, buffer_id: int, *, new_group: bool = False) -> None:
+        """Register a downstream task; ``new_group`` opens a fresh task
+        group for it (shuffle buffers only: §4.5 builds the new distributed
+        hash table in a new group while the old one keeps probing)."""
+        if buffer_id in self.buffer_ids:
+            raise ValueError(f"duplicate buffer id {buffer_id}")
+        if new_group or not self.groups:
+            self.groups.append([buffer_id])
+        else:
+            self.groups[-1].append(buffer_id)
 
-
-@dataclass
-class ShuffleBuffer:
-    """Task output buffer that also performs the shuffle (§4.2.1).
-
-    ``task_groups()`` exposes buffer-ID groups as downstream task groups;
-    §4.5's DOP switching builds the new distributed hash table in a fresh
-    task group and retires the old one.
-    """
-
-    shufflers: list[Shuffler] = field(default_factory=list)
-    page_cache: list[Page] = field(default_factory=list)
-    caching: bool = False
-    _ended: bool = False
-    _end_delivered: set[int] = field(default_factory=set)
-
-    def new_group(self, buffer_ids: list[int]) -> Shuffler:
-        sh = Shuffler(shuffler_id=len(self.shufflers))
-        for bid in buffer_ids:
-            sh.add_id(bid)
-        self.shufflers.append(sh)
-        return sh
-
-    def retire_group(self, shuffler_id: int) -> None:
-        self.shufflers = [s for s in self.shufflers if s.shuffler_id != shuffler_id]
-
-    def task_groups(self) -> list[list[int]]:
-        return [list(s.buffer_ids) for s in self.shufflers]
-
-    def all_buffer_ids(self) -> list[int]:
-        return [bid for s in self.shufflers for bid in s.buffer_ids]
-
-    def put(self, page: Page, key: int) -> None:
-        if page.is_end:
-            self._ended = True
-            return
-        if self.caching:
-            self.page_cache.append(page)
-        for sh in self.shufflers:  # each active group receives the stream
-            sh.shuffle(page, key)
-
-    def get(self, buffer_id: int) -> Page | None:
-        for sh in self.shufflers:
-            if buffer_id in sh.queues:
-                if sh.queues[buffer_id]:
-                    return sh.queues[buffer_id].popleft()
-                if self._ended and buffer_id not in self._end_delivered:
-                    self._end_delivered.add(buffer_id)
-                    return end_page()
-                return None
+    def remove_id(self, buffer_id: int) -> None:
+        """Drop a retired downstream task; a group left empty is retired."""
+        for g in self.groups:
+            if buffer_id in g:
+                g.remove(buffer_id)
+                if not g:
+                    self.groups.remove(g)
+                return
         raise KeyError(f"unknown buffer id {buffer_id}")
-
-    def send_end_signal(self) -> None:
-        self._ended = True

@@ -19,11 +19,14 @@ the paper's evaluation depends on:
   DOP switching via a new task group (reshuffle + build, Table 2) while
   the old group keeps probing (Fig. 26).
 
-The *object model* (stages/tasks/drivers/buffers in ``repro.engine``) is
-kept consistent with the flow state at every step, so the control plane
-(scheduler, tuner, filter) operates on real engine structures while the
-byte-flow arithmetic stays cheap enough to simulate thousands of seconds
-in milliseconds.
+Data moves only as byte volumes here. The engine keeps the *topology*
+beside it: stages, tasks with their driver counts, output-buffer ID groups
+and remote split sets. The dynamic scheduler updates that topology on every
+DOP change, and a retired task group leaves it through the same
+``QueryExecution.retire_task`` as any other removed task. The control plane
+(scheduler, tuner, filter) thus acts on real engine structures, while the
+byte-flow arithmetic stays cheap enough to simulate thousands of seconds in
+milliseconds.
 """
 from __future__ import annotations
 
@@ -37,12 +40,15 @@ from repro.engine.hashjoin import (
     plan_broadcast_rebuild,
     plan_partitioned_switch,
 )
-from repro.engine.pages import DEFAULT_PAGE_BYTES
 from repro.engine.plan import HASH_JOIN, StageTree
 from repro.engine.scheduler import DynamicScheduler, QueryExecution, schedule_query
 from repro.engine.stage import Stage
 
 _EPS = 1.0  # byte epsilon for "drained"
+
+#: Page size at which elastic buffers grow (1 MB, the order of magnitude of
+#: Presto's pages; buffers start at one-page capacity per §4.2.2).
+DEFAULT_PAGE_BYTES = 1_000_000
 
 
 @dataclass
@@ -104,11 +110,12 @@ class SimQuery:
 
 @dataclass
 class ByteElasticBuffer:
-    """Byte-volume equivalent of buffers.RuntimeElasticBuffer (§4.2.2).
+    """The runtime elastic buffer (§4.2.2, Fig. 11) over byte volumes.
 
-    Same policy at page (1 MB) granularity: start at one page, grow by a
-    page each time the consumer finds it empty (counting turn-ups), and
-    periodically resize to the recent consumption volume.
+    Capacity is adjusted by the *consumer*, at page granularity: start at
+    one page, grow by a page each time the consumer finds it empty (each
+    grow bumps the **turn-up counter**, the §5.1 bottleneck signal), and
+    every 500 ms resize to the recent consumption volume.
     """
 
     capacity: float = float(DEFAULT_PAGE_BYTES)
@@ -409,8 +416,7 @@ class SimExecutor:
                 st.probing_task_ids = list(op.new_task_ids)
                 old = [t for t in st.stage.tasks if t.task_id in set(st.pending_old_ids)]
                 for task in old:
-                    self.cluster.node(task.node_id).remove_drivers(task.dop)
-                    st.stage.remove_task(task)
+                    self.exe.retire_task(task)
                 self.state_transfers.append(op.record())
                 st.pending_switch = None
                 st.pending_old_ids = []
@@ -472,14 +478,18 @@ class SimExecutor:
         cur = st.effective_dop()
         if n == cur:
             return TuningOutcome(False, "no-op: requested current DOP")
+        try:
+            return self._resize_stage(st, n, cur)
+        except ValueError as exc:  # rejected by the scheduler
+            return TuningOutcome(False, str(exc))
+
+    def _resize_stage(self, st: _StageState, n: int, cur: int) -> TuningOutcome:
+        stage_id = st.stage.stage_id
         if not st.has_join:
-            try:
-                if n > cur:
-                    _, latency = self.sched.add_tasks(stage_id, n - cur)
-                else:
-                    _, latency = self.sched.remove_tasks(stage_id, cur - n)
-            except ValueError as exc:
-                return TuningOutcome(False, str(exc))
+            if n > cur:
+                _, latency = self.sched.add_tasks(stage_id, n - cur)
+            else:
+                _, latency = self.sched.remove_tasks(stage_id, cur - n)
             return TuningOutcome(True, latency_s=latency)
         # --- join stages ---------------------------------------------------
         build_bytes = st.expected_build

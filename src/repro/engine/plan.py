@@ -35,6 +35,34 @@ ALL_KINDS = {
     FINAL_AGG, TOPN, EXCHANGE, LOCAL_EXCHANGE, OUTPUT, REMOTE_SOURCE, SHUFFLE,
 }
 
+# ------------------------------------------------- §4.1 operator classification
+#: Operators whose DOP may be tuned freely. Partial aggregation counts as
+#: stateless: its state can be dropped and rebuilt (two-phase aggregation).
+#: A join runs as a stateless probe plus a stateful build; a local exchange
+#: as a sink/source pair; a fragment's root feeds the task output.
+STATELESS_KINDS = frozenset({
+    "filter", "project", "sink", "source", "exchange", "task_output",
+    "table_scan", "partial_agg", "shuffle", "probe", "topn_partial",
+})
+#: Operators whose state pins parallelism. A join build is rebuilt on a DOP
+#: change (§4.5); the others pin their stage to one task.
+STATEFUL_KINDS = frozenset({"final_agg", "build", "cross_join_build", "topn"})
+_REBUILT_KINDS = frozenset({"build", "cross_join_build"})
+
+
+def is_stateless(kind: str) -> bool:
+    if kind in STATELESS_KINDS:
+        return True
+    if kind in STATEFUL_KINDS:
+        return False
+    raise ValueError(f"unclassified operator kind: {kind}")
+
+
+def pins_stage(root: PlanNode) -> bool:
+    """§4.1: a fragment holding a stateful operator that no rebuild can
+    redistribute (final aggregation, top-N) runs as a single task."""
+    return any(n.kind in STATEFUL_KINDS - _REBUILT_KINDS for n in root.walk())
+
 
 @dataclass
 class PlanNode:

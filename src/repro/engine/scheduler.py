@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster import Cluster, RpcModel
-from repro.engine.buffers import SharedBuffer, ShuffleBuffer
-from repro.engine.plan import StageTree
+from repro.engine.buffers import OutputBuffer
+from repro.engine.plan import HASH_JOIN, SHUFFLE, PlanNode, StageTree, pins_stage
 from repro.engine.splits import RemoteSplit
 from repro.engine.stage import Stage
 from repro.engine.task import Task
@@ -31,7 +31,7 @@ class QueryExecution:
     tree: StageTree
     cluster: Cluster
     stages: dict[int, Stage] = field(default_factory=dict)
-    out_buffers: dict[int, SharedBuffer | ShuffleBuffer] = field(default_factory=dict)
+    out_buffers: dict[int, OutputBuffer] = field(default_factory=dict)
     rpc: RpcModel = field(default_factory=RpcModel)
     rpc_requests: int = 0
     control_time_s: float = 0.0
@@ -53,15 +53,24 @@ class QueryExecution:
         return [self.stages[c] for c in self.tree.children_of(stage_id)]
 
     def final_stage_ids(self) -> set[int]:
-        """Stages whose fragment holds a final aggregation — parallelism
-        pinned to 1 (§4.1)."""
-        from repro.engine.plan import FINAL_AGG, TOPN
+        """Stages whose fragment holds a final aggregation or top-N —
+        parallelism pinned to 1 (§4.1)."""
+        return {sid for sid, st in self.stages.items() if pins_stage(st.fragment.root)}
 
-        return {
-            sid
-            for sid, st in self.stages.items()
-            if st.fragment.root.find(FINAL_AGG) or st.fragment.root.find(TOPN)
-        }
+    def retire_task(self, task: Task) -> None:
+        """Take a task out of the topology (§4.4 decreasing stage DOP, §4.5
+        retiring an old task group): drop its buffer id from the children's
+        output buffers and its address from the parents' remote split sets,
+        release its node drivers, and remove it from its stage. The RPC cost
+        is the caller's to charge."""
+        for cstage in self.child_stages(task.stage_id):
+            self.out_buffers[cstage.stage_id].remove_id(task.seq)
+        parent = self.parent_stage(task.stage_id)
+        if parent is not None:
+            for ptask in parent.tasks:
+                ptask.drop_upstream_task(task.task_id)
+        self.cluster.node(task.node_id).remove_drivers(task.dop)
+        self.stages[task.stage_id].remove_task(task)
 
 
 def _needs_shuffle_buffer(exe: QueryExecution, stage_id: int) -> bool:
@@ -72,17 +81,15 @@ def _needs_shuffle_buffer(exe: QueryExecution, stage_id: int) -> bool:
     if parent_id is None:
         return False
     pfrag = exe.tree[parent_id].root
-    from repro.engine.plan import HASH_JOIN, SHUFFLE
+    return _has_partitioned_join(pfrag) or bool(pfrag.find(SHUFFLE))
 
-    for join in pfrag.find(HASH_JOIN):
-        if join.props.get("partitioned"):
-            return True
-    return bool(pfrag.find(SHUFFLE))
+
+def _has_partitioned_join(root: PlanNode) -> bool:
+    return any(j.props.get("partitioned") for j in root.find(HASH_JOIN))
 
 
 def _wire_parent(exe: QueryExecution, child: Stage, task: Task) -> None:
-    """Give the new task's address to every parent-stage task (§4.4 step 2)
-    and a buffer id to the child's output buffer for each parent task."""
+    """Give the new task's address to every parent-stage task (§4.4 step 2)."""
     parent = exe.parent_stage(child.stage_id)
     if parent is None:
         return
@@ -90,20 +97,14 @@ def _wire_parent(exe: QueryExecution, child: Stage, task: Task) -> None:
         ptask.add_upstream(RemoteSplit(task.url, task.task_id))
 
 
-def _wire_children(exe: QueryExecution, stage: Stage, task: Task) -> None:
+def _wire_children(exe: QueryExecution, stage: Stage, task: Task, *, new_group: bool = False) -> None:
     """Set child-stage task addresses on the new task (§4.4 step 3) and
-    allocate it a buffer id in every child's output buffer."""
+    allocate it a buffer id in every child's output buffer, opening a new
+    task group there if ``new_group``."""
     for cstage in exe.child_stages(stage.stage_id):
         for ctask in cstage.tasks:
             task.add_upstream(RemoteSplit(ctask.url, ctask.task_id))
-        buf = exe.out_buffers[cstage.stage_id]
-        if isinstance(buf, ShuffleBuffer):
-            if buf.shufflers:
-                buf.shufflers[-1].add_id(task.seq)
-            else:
-                buf.new_group([task.seq])
-        else:
-            buf.add_buffer_id(task.seq)
+        exe.out_buffers[cstage.stage_id].add_id(task.seq, new_group=new_group)
 
 
 def schedule_query(
@@ -130,9 +131,7 @@ def schedule_query(
         frag = tree[sid]
         stage = Stage(stage_id=sid, fragment=frag)
         exe.stages[sid] = stage
-        exe.out_buffers[sid] = (
-            ShuffleBuffer() if _needs_shuffle_buffer(exe, sid) else SharedBuffer()
-        )
+        exe.out_buffers[sid] = OutputBuffer(shuffle=_needs_shuffle_buffer(exe, sid))
         n_tasks = stage_dop.get(sid, 1) if isinstance(stage_dop, dict) else stage_dop
         for node in cluster.place_tasks(n_tasks, pinned=pinned_nodes.get(sid)):
             task = stage.new_task(node.node_id)
@@ -149,17 +148,7 @@ def schedule_query(
     for sid in exe.final_stage_ids():
         stage = exe.stages[sid]
         while stage.dop > 1:
-            t = stage.tasks[-1]
-            exe.cluster.node(t.node_id).remove_drivers(t.dop)
-            for cstage in exe.child_stages(sid):
-                buf = exe.out_buffers[cstage.stage_id]
-                if isinstance(buf, ShuffleBuffer):
-                    for sh in buf.shufflers:
-                        if t.seq in sh.buffer_ids:
-                            sh.remove_id(t.seq)
-                elif t.seq in buf.buffer_ids:
-                    buf.remove_buffer_id(t.seq)
-            stage.remove_task(t)
+            exe.retire_task(stage.tasks[-1])
         for t in stage.tasks:
             if t.dop > 1:
                 exe.cluster.node(t.node_id).remove_drivers(t.dop - 1)
@@ -183,6 +172,8 @@ class DynamicScheduler:
         control-plane latency (the paper measures driver generation < 1 ms;
         the cost is the RESTful round trip per task)."""
         stage = self.exe.stages[stage_id]
+        if n < 1:
+            raise ValueError(f"task DOP must be >= 1, got {n}")
         if stage_id in self.exe.final_stage_ids() and n != 1:
             raise ValueError(f"stage {stage_id} holds a final agg; task DOP pinned to 1")
         for task in stage.tasks:
@@ -201,9 +192,13 @@ class DynamicScheduler:
         addresses to parent-stage tasks, (3) set child-stage addresses on
         them. Returns (new tasks, control latency)."""
         stage = self.exe.stages[stage_id]
+        if n < 1:
+            raise ValueError(f"must add at least one task, got {n}")
         if stage_id in self.exe.final_stage_ids():
             raise ValueError(f"stage {stage_id} holds a final agg; stage DOP pinned to 1")
         task_dop = stage.task_dop or 1
+        # §4.5: a partitioned join grows by switching to a new task group.
+        switch = _has_partitioned_join(stage.fragment.root)
         new_tasks: list[Task] = []
         for i in range(n):
             if pinned:
@@ -214,7 +209,7 @@ class DynamicScheduler:
             task.set_dop(task_dop)
             node.add_drivers(task.dop)
             _wire_parent(self.exe, stage, task)
-            _wire_children(self.exe, stage, task)
+            _wire_children(self.exe, stage, task, new_group=switch and i == 0)
             new_tasks.append(task)
         # One batched creation request plus a per-task ack: the paper
         # measures ~23 ms average for a stage-DOP adjustment (§6.4.1) —
@@ -227,22 +222,12 @@ class DynamicScheduler:
         output buffers for the victims' buffer ids; end pages flow through
         the victims to the parents, which drop their RPC addresses."""
         stage = self.exe.stages[stage_id]
+        if not 1 <= n < stage.dop:
+            raise ValueError(
+                f"cannot remove {n} of stage {stage_id}'s {stage.dop} tasks; stage DOP must stay >= 1"
+            )
         victims = stage.tasks[-n:]
         for task in victims:
-            for cstage in self.exe.child_stages(stage_id):
-                buf = self.exe.out_buffers[cstage.stage_id]
-                if isinstance(buf, ShuffleBuffer):
-                    for sh in buf.shufflers:
-                        if task.seq in sh.buffer_ids:
-                            sh.remove_id(task.seq)
-                else:
-                    if task.seq in buf.buffer_ids:
-                        buf.remove_buffer_id(task.seq)
-            parent = self.exe.parent_stage(stage_id)
-            if parent is not None:
-                for ptask in parent.tasks:
-                    ptask.drop_upstream_task(task.task_id)
-            self.exe.cluster.node(task.node_id).remove_drivers(task.dop)
-            stage.remove_task(task)
+            self.exe.retire_task(task)
         cost = self.exe.charge_rpc(2 * n)
         return victims, cost

@@ -1,9 +1,8 @@
 """Stages — fragments scheduled as task sets, with throughput accounting.
 
 A stage's DOP is its task count (§2); intra-task DOP is the per-task
-driver count. The stage owns its tasks' shared/shuffle output buffer
-choice (partitioned consumers need a shuffle buffer) and records a
-throughput time series — the quantity every §6 figure plots.
+driver count. The stage records a throughput time series — the quantity
+every §6 figure plots.
 """
 from __future__ import annotations
 

@@ -1,17 +1,16 @@
 """Tasks — the smallest unit of distributed execution (§2).
 
-A task lives on a worker node, owns the fragment's pipelines, spawns
-drivers for them, and keeps a **task context** with its runtime counters
-(Fig. 18's lowest level: fetched periodically by the coordinator's runtime
-information collector). Each task also keeps the global remote split set
-(§4.3) so new drivers can be wired to upstream tasks without the
-coordinator.
+A task lives on a worker node, runs its fragment on a number of drivers
+(the intra-task DOP, §4.3), and keeps a **task context** with its runtime
+counters (Fig. 18's lowest level: fetched periodically by the
+coordinator's runtime information collector). Each task also keeps the
+global remote split set (§4.3) so new drivers can be wired to upstream
+tasks without the coordinator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.pipeline import Pipeline, fragment_to_pipelines
 from repro.engine.plan import Fragment
 from repro.engine.splits import RemoteSplit, RemoteSplitSet
 
@@ -21,12 +20,6 @@ class TaskContext:
     """Runtime counters owned by the task, aggregated stage-/query-level by
     the collector (§5.1, Fig. 18)."""
 
-    rows_processed: int = 0
-    bytes_processed: float = 0.0
-    #: turn-up counter of the task's exchange (input) buffer — §5.1.
-    turn_up_counter: int = 0
-    #: last measured processing rate, bytes/s.
-    throughput_bytes_s: float = 0.0
     #: wall time spent building this task's hash table, if any (§5.2).
     hash_build_time_s: float = 0.0
     finished: bool = False
@@ -40,13 +33,10 @@ class Task:
     seq: int
     node_id: str
     fragment: Fragment
-    pipelines: list[Pipeline] = field(default_factory=list)
+    #: driver count — the task DOP (§4.3).
+    dop: int = 1
     remote_splits: RemoteSplitSet = field(default_factory=RemoteSplitSet)
     context: TaskContext = field(default_factory=TaskContext)
-
-    def __post_init__(self) -> None:
-        if not self.pipelines:
-            self.pipelines = fragment_to_pipelines(self.fragment)
 
     @property
     def task_id(self) -> str:
@@ -57,28 +47,11 @@ class Task:
     def url(self) -> str:
         return f"http://{self.node_id}/{self.task_id}"
 
-    # ------------------------------------------------------------- driver DOP
-    def main_pipeline(self) -> Pipeline:
-        """The pipeline whose driver count is the task DOP: the one doing
-        the fragment's work (probe/scan), i.e. the output pipeline."""
-        for p in self.pipelines:
-            if p.is_output_pipeline():
-                return p
-        return self.pipelines[-1]
-
-    @property
-    def dop(self) -> int:
-        return max(1, self.main_pipeline().dop)
-
     def set_dop(self, n: int) -> int:
-        """Spawn or end-page-close drivers on the main pipeline; returns the
-        resulting driver count."""
-        p = self.main_pipeline()
-        while p.dop < n:
-            p.new_driver()
-        while p.dop > n:
-            p.remove_driver()
-        return p.dop
+        """Set the driver count (§4.3: spawn drivers, or close them through
+        the end-page relay); returns it."""
+        self.dop = n
+        return n
 
     # ----------------------------------------------------------- split wiring
     def add_upstream(self, split: RemoteSplit) -> None:

@@ -96,8 +96,7 @@ def q1_spark(spark: SparkSession, t: dict[str, DataFrame]) -> DataFrame:
 def q1_sim() -> SimQuery:
     pl = P.output(
         P.final_agg(
-            P.exchange(P.partial_agg(P.filter_(P.scan("lineitem"), "l_shipdate <= ..."),
-                                     selectivity=1e-7))
+            P.exchange(P.partial_agg(P.filter_(P.scan("lineitem"), "l_shipdate <= ...")))
         )
     )
     tree = fragment_plan(pl)  # S0 final, S1 scan+partial agg
@@ -336,7 +335,7 @@ def q2_plan() -> tuple[P.PlanNode, list[int]]:
     part = P.exchange(P.filter_(P.scan("part"), "p_size=15"))
     j_ps = P.exchange(P.hash_join(part, j_sn, partitioned=False))
     sub_scan = P.exchange(P.scan("partsupp"))
-    sub_agg = P.exchange(P.partial_agg(sub_scan, selectivity=0.035))
+    sub_agg = P.exchange(P.partial_agg(sub_scan))
     j_sub = P.exchange(P.hash_join(j_ps, sub_agg, partitioned=False))
     top_scan = P.exchange(P.scan("partsupp"))
     top_join = P.exchange(P.partial_agg(P.hash_join(top_scan, j_sub, partitioned=False)))

@@ -3,7 +3,6 @@ from repro.spark_iqre.microbatch import (
     SPECS,
     MicrobatchRun,
     MicrobatchSpec,
-    reference_result,
     run_microbatch,
 )
 
@@ -11,6 +10,5 @@ __all__ = [
     "SPECS",
     "MicrobatchRun",
     "MicrobatchSpec",
-    "reference_result",
     "run_microbatch",
 ]

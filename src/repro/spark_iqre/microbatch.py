@@ -24,8 +24,6 @@ from typing import Callable
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.queries.tpch import QueryDef
-
 
 @dataclass
 class MicrobatchSpec:
@@ -184,10 +182,3 @@ def run_microbatch(
     parts_df = spark.createDataFrame(union_pdf, schema=schema)
     run.result = spec.merge(spark, parts_df)
     return run
-
-
-def reference_result(
-    spark: SparkSession, qdef: QueryDef, tables: dict[str, DataFrame]
-) -> DataFrame:
-    """The single-shot (fixed-DOP) Spark execution of the same query."""
-    return qdef.spark_impl(spark, tables)

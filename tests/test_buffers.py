@@ -1,163 +1,175 @@
-"""Tests for task output buffers and the runtime elastic buffer (§4.2)."""
+"""Tests for task output buffers — buffer-ID groups and task groups
+(§4.2.1) — and the runtime elastic buffer (§4.2.2)."""
 import pytest
 
-from repro.engine.buffers import RuntimeElasticBuffer, SharedBuffer, ShuffleBuffer
-from repro.engine.pages import Page, end_page
+from repro.engine import plan as P
+from repro.engine.buffers import OutputBuffer
+from repro.engine.exec_sim import (
+    DEFAULT_PAGE_BYTES as PAGE,
+    ByteElasticBuffer,
+    SimExecutor,
+    SimQuery,
+    StageCost,
+)
+
+GB = 1e9
+
+
+def join_sim(*, partitioned):
+    """S0 final <- S1 join <- probe S2 scan a (2 GB), build S3 scan b (0.2 GB)."""
+    tree = P.fragment_plan(P.output(P.final_agg(P.exchange(P.hash_join(
+        P.exchange(P.scan("a")), P.exchange(P.scan("b")), partitioned=partitioned)))))
+    costs = {
+        0: StageCost(per_driver_rate_mb_s=400.0),
+        1: StageCost(per_driver_rate_mb_s=50.0, selectivity=1e-6),
+        2: StageCost(per_driver_rate_mb_s=400.0, scan_bytes=2 * GB),
+        3: StageCost(per_driver_rate_mb_s=400.0, scan_bytes=0.2 * GB),
+    }
+    ex = SimExecutor(SimQuery("join", tree, costs))
+    while not ex.states[1].built:
+        ex.step()
+    return ex
 
 
 class TestRuntimeElasticBuffer:
+    """``ByteElasticBuffer`` is the runtime elastic buffer the executor runs:
+    the consumer resizes it at page granularity (§4.2.2, Fig. 11)."""
+
     def test_initial_capacity_one_page(self):
         # §4.2.2: "we can initially set all buffer capacities to the size
         # of a page"
-        assert RuntimeElasticBuffer().capacity_pages == 1
+        assert ByteElasticBuffer().capacity == PAGE
 
     def test_offer_respects_capacity(self):
-        b = RuntimeElasticBuffer()
-        assert b.offer(Page(rows=1, bytes=10))
-        assert not b.offer(Page(rows=1, bytes=10))  # full
+        b = ByteElasticBuffer()
+        b.push(PAGE / 4)
+        assert b.free() == pytest.approx(0.75 * PAGE)
+        b.push(b.free())
+        assert b.free() == 0.0  # full: the producer must wait
 
     def test_end_page_always_fits(self):
-        b = RuntimeElasticBuffer()
-        b.offer(Page(rows=1, bytes=10))
-        assert b.offer(end_page())
-        assert b.ended
+        # the end needs no free space: a full buffer still takes it, and the
+        # consumer drains the rest without counting a starvation
+        b = ByteElasticBuffer()
+        b.push(b.free())
+        b.ended = True
+        assert b.take(2 * PAGE) == PAGE
+        assert b.drained()
+        assert b.take(PAGE) == 0.0
+        assert b.turn_up_counter == 0
 
     def test_empty_pull_grows_capacity_and_counts_turn_up(self):
         # Fig. 11: consumer finds buffer empty -> grow + count (§5.1 signal)
-        b = RuntimeElasticBuffer()
-        assert b.pull() is None
+        b = ByteElasticBuffer()
+        assert b.take(100.0) == 0.0
         assert b.turn_up_counter == 1
-        assert b.capacity_pages == 2
+        assert b.capacity == 2 * PAGE
+        b.take(100.0)
+        assert b.turn_up_counter == 2
+        assert b.capacity == 3 * PAGE
 
     def test_pull_after_end_does_not_count(self):
-        b = RuntimeElasticBuffer()
-        b.offer(end_page())
-        b.pull()  # the end page
-        b.pull()  # empty, but ended
+        b = ByteElasticBuffer()
+        b.push(PAGE / 2)
+        b.ended = True
+        assert b.take(PAGE) == PAGE / 2  # the last bytes
+        assert b.take(PAGE) == 0.0  # empty, but ended
         assert b.turn_up_counter == 0
-
-    def test_pull_returns_fifo(self):
-        b = RuntimeElasticBuffer(capacity_pages=3)
-        b.offer(Page(rows=1, bytes=1))
-        b.offer(Page(rows=2, bytes=2))
-        assert b.pull().rows == 1
-        assert b.pull().rows == 2
+        assert b.capacity == PAGE
 
     def test_resize_tracks_consumption(self):
-        # §4.2.2: every 500 ms capacity tracks recent consumption
-        b = RuntimeElasticBuffer(capacity_pages=100)
-        for i in range(10):
-            b.offer(Page(rows=1, bytes=1))
-        for _ in range(10):
-            b.pull()
-        b.tick(now_s=0.6)
-        assert b.capacity_pages == 10
+        # §4.2.2: every 500 ms capacity tracks recent consumption, shrinking
+        # an oversized buffer too
+        b = ByteElasticBuffer(capacity=100 * PAGE)
+        b.push(10 * PAGE)
+        b.take(10 * PAGE)
+        b.tick(0.6)
+        assert b.capacity == pytest.approx(12 * PAGE)
 
     def test_resize_has_floor_of_one(self):
-        b = RuntimeElasticBuffer(capacity_pages=5)
-        b.tick(now_s=0.6)
-        assert b.capacity_pages == 1
+        # an idle interval shrinks the buffer back to one page, never below
+        b = ByteElasticBuffer(capacity=5 * PAGE)
+        b.tick(0.6)
+        assert b.capacity == PAGE
 
     def test_resize_waits_for_interval(self):
-        b = RuntimeElasticBuffer(capacity_pages=5)
-        b.tick(now_s=0.3)
-        assert b.capacity_pages == 5
+        # §4.2.2: the consumer resizes every 500 ms, not on every tick
+        b = ByteElasticBuffer(capacity=5 * PAGE)
+        b.tick(0.3)
+        assert b.capacity == 5 * PAGE
 
 
 class TestSharedBuffer:
-    def test_round_robin_get(self):
-        b = SharedBuffer(buffer_ids=[0, 1])
-        b.put(Page(rows=1, bytes=1))
-        b.put(Page(rows=2, bytes=2))
-        assert b.get(0).rows == 1
-        assert b.get(1).rows == 2
-        assert b.get(0) is None
-
     def test_unknown_buffer_id(self):
+        b = OutputBuffer()
+        b.add_id(0)
         with pytest.raises(KeyError):
-            SharedBuffer(buffer_ids=[0]).get(7)
+            b.remove_id(7)
 
     def test_buffer_id_array_is_dynamic(self):
         # §4.2.1: the buffer ID array adapts to downstream DOP changes
-        b = SharedBuffer(buffer_ids=[0])
-        b.add_buffer_id(1)
+        b = OutputBuffer()
+        b.add_id(0)
+        b.add_id(1)
         assert b.buffer_ids == [0, 1]
-        b.remove_buffer_id(0)
+        assert b.groups == [[0, 1]]  # a shared buffer is a single group
+        b.remove_id(0)
         assert b.buffer_ids == [1]
 
     def test_duplicate_buffer_id_rejected(self):
-        b = SharedBuffer(buffer_ids=[0])
+        b = OutputBuffer()
+        b.add_id(0)
         with pytest.raises(ValueError):
-            b.add_buffer_id(0)
-
-    def test_end_signal_delivers_end_page_to_each_consumer_once(self):
-        # §4.3/§4.4: end signal -> end pages broadcast downstream
-        b = SharedBuffer(buffer_ids=[0, 1])
-        b.send_end_signal()
-        assert b.get(0).is_end
-        assert b.get(0) is None  # only once per consumer
-        assert b.get(1).is_end
+            b.add_id(0)
 
     def test_page_cache_retains_when_enabled(self):
-        b = SharedBuffer(buffer_ids=[0], caching=True)
-        b.put(Page(rows=1, bytes=1))
-        b.get(0)
-        assert len(b.page_cache) == 1
-
-    def test_end_page_put_marks_ended(self):
-        b = SharedBuffer(buffer_ids=[0])
-        b.put(end_page())
-        assert b.get(0).is_end
+        # §4.2.1/§4.5: a broadcast join's build side arrives through shared
+        # buffers, and its output stays cached for later rebuilds
+        ex = join_sim(partitioned=False)
+        assert not ex.exe.out_buffers[3].shuffle
+        assert ex.cache.entries[3].bytes == pytest.approx(0.2 * GB)
 
 
 class TestShuffleBuffer:
     def test_executor_count_tracks_downstream_tasks(self):
         # §4.2.1: number of shuffle executors == number of downstream tasks
-        b = ShuffleBuffer()
-        sh = b.new_group([0, 1, 2])
-        assert sh.n_executors == 3
-        sh.add_id(3)
-        assert sh.n_executors == 4
-
-    def test_hash_partitioning_by_key(self):
-        b = ShuffleBuffer()
-        b.new_group([0, 1])
-        b.put(Page(rows=1, bytes=1), key=4)   # 4 % 2 -> buffer id 0
-        b.put(Page(rows=2, bytes=2), key=5)   # 5 % 2 -> buffer id 1
-        assert b.get(0).rows == 1
-        assert b.get(1).rows == 2
+        # in the group (one buffer id each)
+        b = OutputBuffer(shuffle=True)
+        for bid in (0, 1, 2):
+            b.add_id(bid)
+        assert len(b.groups[-1]) == 3
+        b.add_id(3)
+        assert len(b.groups[-1]) == 4
 
     def test_task_groups_for_dop_switching(self):
         # §4.5: buffer-ID groups form task groups; a new group serves the
         # new distributed hash table while the old one still serves probes
-        b = ShuffleBuffer()
-        b.new_group([0, 1])
-        b.new_group([2, 3, 4])
-        assert b.task_groups() == [[0, 1], [2, 3, 4]]
-        b.put(Page(rows=7, bytes=7), key=0)
-        # both active groups receive the stream
-        assert b.get(0).rows == 7
-        assert b.get(2).rows == 7
+        b = OutputBuffer(shuffle=True)
+        b.add_id(0)
+        b.add_id(1)
+        b.add_id(2, new_group=True)
+        b.add_id(3)
+        b.add_id(4)
+        assert b.groups == [[0, 1], [2, 3, 4]]
+        assert b.buffer_ids == [0, 1, 2, 3, 4]
 
     def test_retire_group(self):
-        b = ShuffleBuffer()
-        g0 = b.new_group([0, 1])
-        b.new_group([2, 3])
-        b.retire_group(g0.shuffler_id)
-        assert b.task_groups() == [[2, 3]]
+        b = OutputBuffer(shuffle=True)
+        b.add_id(0)
+        b.add_id(1)
+        b.add_id(2, new_group=True)
+        b.add_id(3)
+        b.remove_id(0)
+        b.remove_id(1)
+        # the emptied group is gone, not left behind as []
+        assert b.groups == [[2, 3]]
         with pytest.raises(KeyError):
-            b.get(0)
-
-    def test_end_signal(self):
-        b = ShuffleBuffer()
-        b.new_group([0])
-        b.send_end_signal()
-        assert b.get(0).is_end
-        assert b.get(0) is None
+            b.remove_id(0)
 
     def test_page_cache(self):
-        # §4.2.1: page cache used for reshuffling / build-side redistribution
-        b = ShuffleBuffer(caching=True)
-        b.new_group([0])
-        b.put(Page(rows=1, bytes=1), key=0)
-        assert len(b.page_cache) == 1
+        # §4.2.1: the cached build side is what a DOP switch reshuffles
+        ex = join_sim(partitioned=True)
+        assert ex.exe.out_buffers[3].shuffle
+        out = ex.set_stage_dop(1, 2)
+        assert out.applied and out.rebuild.from_cache
+        assert out.rebuild.build_bytes == pytest.approx(ex.cache.entries[3].bytes)

@@ -9,7 +9,6 @@ from repro.cluster import (
     Node,
     RpcModel,
     calibration as cal,
-    plan_construction_requests,
 )
 
 
@@ -41,11 +40,6 @@ class TestNode:
     def test_nic_bytes_per_s(self):
         n = Node("n0", nic_gbps=10.0)
         assert n.nic_bytes_per_s() == pytest.approx(1.25e9)
-
-    def test_nic_utilization(self):
-        n = Node("n0", nic_gbps=10.0)
-        n.nic_load_bytes_per_s = 0.625e9
-        assert n.nic_utilization() == pytest.approx(0.5)
 
     def test_remove_drivers_floors_at_zero(self):
         n = Node("n0")
@@ -90,13 +84,6 @@ class TestCluster:
         with pytest.raises(KeyError):
             c.node("nonexistent")
 
-    def test_charge_nic_spreads_load(self):
-        c = Cluster.presto_testbed()
-        c.charge_nic(["storage0", "storage1"], 1e9)
-        assert c.node("storage0").nic_load_bytes_per_s == pytest.approx(0.5e9)
-        c.reset_nic_loads()
-        assert c.max_nic_utilization() == 0.0
-
     def test_storage_roles(self):
         c = Cluster.presto_testbed()
         assert all(n.role == STORAGE for n in c.storage_nodes())
@@ -115,10 +102,6 @@ class TestRpc:
     def test_batch_cost_scales(self):
         m = RpcModel(seed=0)
         assert 0.05 <= m.batch_cost_s(50) <= 0.5
-
-    def test_plan_construction_requests_q3(self):
-        # paper: 65 RESTful requests for Q3's 6-stage DOP-1 plan
-        assert 50 <= plan_construction_requests(6, 1) <= 80
 
 
 class TestCalibration:

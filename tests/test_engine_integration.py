@@ -1,16 +1,16 @@
-"""Object-level integration: real Page objects flowing through drivers,
-task output buffers, and the end-page shutdown protocol — the engine
-substrate wired together the way a worker would run it (the timing
-simulator abstracts this to byte flows; here the actual protocol runs).
+"""Object-level integration: the topology a worker keeps — output-buffer
+IDs and task groups, remote split sets, driver counts — wired together by
+the scheduler the way the coordinator drives it, and the executor moving
+bytes over it: scan -> output buffer -> downstream task, the end signal,
+drivers as the unit of processing.
 """
 import pytest
 
 from repro.cluster import Cluster
-from repro.engine.buffers import SharedBuffer, ShuffleBuffer
-from repro.engine.pages import Page, end_page
+from repro.engine.exec_sim import SimExecutor
 from repro.engine.plan import fragment_plan
 from repro.engine.scheduler import DynamicScheduler, schedule_query
-from repro.queries.tpch import q2j_plan, q3_plan
+from repro.queries.tpch import QUERIES, q2j_plan, q3_plan
 
 
 @pytest.fixture()
@@ -24,55 +24,78 @@ def q3_exe():
     return schedule_query(fragment_plan(q3_plan()), Cluster.presto_testbed())
 
 
-class TestPageFlow:
-    def test_scan_driver_to_output_buffer_to_downstream(self, q3_exe):
-        # stage 4 (orders scan) produces pages; stage 3's task fetches them
-        scan_task = q3_exe.stages[4].tasks[0]
-        driver = scan_task.main_pipeline().new_driver()
-        out = driver.push(Page(rows=100, bytes=1000))
-        assert len(out) == 1  # through table_scan+filter+task_output
-        buf = q3_exe.out_buffers[4]
-        for p in out:
-            buf.put(p)
-        downstream_seq = q3_exe.stages[3].tasks[0].seq
-        got = buf.get(downstream_seq)
-        assert got is not None and got.rows > 0
+@pytest.fixture()
+def q3_sim():
+    return SimExecutor(QUERIES["Q3"].sim_query())
 
-    def test_filter_selectivity_applied_in_driver(self, q3_exe):
-        # stage 4's fragment filters orders by date (selectivity prop absent
-        # -> defaults to 1.0; set one explicitly through a fresh operator)
-        scan_task = q3_exe.stages[4].tasks[0]
-        driver = scan_task.main_pipeline().new_driver()
-        out = driver.push(Page(rows=10, bytes=100))
-        assert out[0].rows <= 10
+
+def _steps(ex, n):
+    for _ in range(n):
+        ex.step()
+
+
+class TestPageFlow:
+    def test_scan_driver_to_output_buffer_to_downstream(self, q3_sim):
+        # stage 4 (orders scan) produces bytes into stage 3's probe-side
+        # buffer; the join still waits for its build, so they queue there
+        _steps(q3_sim, 20)
+        s4, s3 = q3_sim.states[4], q3_sim.states[3]
+        assert s4.produced > 0
+        assert not s3.built and s3.consumed == 0.0
+        assert s3.in_buf.level == pytest.approx(s4.produced)
+        # backpressure: the producer filled the buffer and no further
+        assert s3.in_buf.level <= s3.in_buf.capacity + 1
+
+    def test_filter_selectivity_applied_in_driver(self, q3_sim):
+        # stage 4's fragment filters orders: its output is the consumed
+        # volume scaled by the fragment's selectivity
+        _steps(q3_sim, 20)
+        s4 = q3_sim.states[4]
+        sel = q3_sim.query.costs[4].selectivity
+        assert sel < 1.0
+        assert s4.consumed > 0
+        assert s4.produced == pytest.approx(sel * s4.consumed)
 
     def test_shuffle_buffer_partitions_across_downstream_tasks(self, q2j_exe):
         # Q2J's scan stages feed a partitioned join through shuffle buffers
+        # whose one task group holds a buffer id (hash partition) per S1 task
         buf = q2j_exe.out_buffers[2]
-        assert isinstance(buf, ShuffleBuffer)
-        ids = buf.all_buffer_ids()
-        assert len(ids) == 2  # one per S1 task
-        for key in range(10):
-            buf.put(Page(rows=1, bytes=10), key=key)
-        got = [buf.get(i) for i in ids]
-        assert all(g is not None for g in got)
+        assert buf.shuffle
+        s1_seqs = [t.seq for t in q2j_exe.stages[1].tasks]
+        assert len(s1_seqs) == 2
+        assert buf.groups == [s1_seqs]
 
 
 class TestEndPageProtocol:
-    def test_end_signal_reaches_every_downstream_task_once(self, q2j_exe):
-        buf = q2j_exe.out_buffers[3]
-        buf.send_end_signal()
-        for bid in buf.all_buffer_ids():
-            assert buf.get(bid).is_end
-            assert buf.get(bid) is None
+    def test_end_signal_reaches_every_downstream_task_once(self, q3_sim):
+        # each stage ends after every stage feeding it, and the end reaches
+        # every task of it
+        q3_sim.run()
+        for sid, st in q3_sim.states.items():
+            assert st.ended
+            assert all(t.context.finished for t in st.stage.tasks)
+            for child in q3_sim.query.tree.children_of(sid):
+                assert q3_sim.states[child].end_at <= st.end_at
+        # after its end a buffer stops counting starvation
+        counters = q3_sim.turn_up_counters()
+        q3_sim.states[0].in_buf.take(1.0)
+        assert q3_sim.turn_up_counters() == counters
 
-    def test_driver_close_relays_end_through_all_operators(self, q3_exe):
-        task = q3_exe.stages[2].tasks[0]
-        driver = task.main_pipeline().new_driver()
-        driver.push(Page(rows=5, bytes=50))
-        out = driver.push(end_page())
-        assert driver.finished()
-        assert out[-1].is_end
+    def test_driver_close_relays_end_through_all_operators(self):
+        # §4.3: lowering the driver count closes drivers — their node slots
+        # are released — while the task keeps running to the end
+        ex = SimExecutor(QUERIES["Q3"].sim_query(), task_dop=2)
+        _steps(ex, 5)
+        # stage 5 scans the build side, which stage 3 ingests right away
+        node = ex.cluster.node(ex.exe.stages[5].tasks[0].node_id)
+        before = node.active_drivers
+        assert ex.set_task_dop(5, 1).applied
+        assert node.active_drivers == before - 1
+        consumed = ex.states[5].consumed
+        _steps(ex, 5)
+        assert ex.states[5].consumed > consumed
+        ex.run()
+        assert ex.states[5].ended
 
     def test_remove_task_end_to_end(self, q2j_exe):
         """§4.4 decreasing stage DOP: end signals to child buffers, parents
@@ -82,7 +105,7 @@ class TestEndPageProtocol:
         victims, _ = sched.remove_tasks(1, 1)
         victim_seq = victims[0].seq
         for cid in (2, 3):
-            assert victim_seq not in q2j_exe.out_buffers[cid].all_buffer_ids()
+            assert victim_seq not in q2j_exe.out_buffers[cid].buffer_ids
         for ptask in q2j_exe.stages[0].tasks:
             assert victims[0].task_id not in {
                 s.task_id for s in ptask.upstream_addresses()
@@ -99,17 +122,15 @@ class TestIntraTaskDopObjectLevel:
         assert task.dop == 3
         assert task.upstream_addresses() == addrs_before
 
-    def test_drivers_process_independently(self, q3_exe):
-        task = q3_exe.stages[2].tasks[0]
-        task.set_dop(2)
-        d1, d2 = task.main_pipeline().drivers
-        d1.push(Page(rows=10, bytes=100))
-        out2 = d2.push(Page(rows=20, bytes=200))
-        assert out2[0].rows <= 20
-        # closing one driver leaves the other operational
-        task.main_pipeline().remove_driver()
-        assert task.dop == 1
-        assert not d1.finished()
+    def test_drivers_process_independently(self, q3_sim):
+        # each driver adds its own processing rate; closing one leaves the
+        # other working
+        one = q3_sim.stage_input_capacity_bytes_s(2)
+        assert q3_sim.set_task_dop(2, 2).applied
+        assert q3_sim.stage_input_capacity_bytes_s(2) == pytest.approx(2 * one)
+        assert q3_sim.set_task_dop(2, 1).applied
+        assert q3_sim.stage_input_capacity_bytes_s(2) == pytest.approx(one)
+        assert one > 0
 
 
 class TestSharedBufferDownstreamGrowth:
@@ -117,7 +138,7 @@ class TestSharedBufferDownstreamGrowth:
         # §4.2.1: buffer-ID array adapts when the downstream stage grows
         sched = DynamicScheduler(q3_exe)
         buf = q3_exe.out_buffers[4]
-        assert isinstance(buf, SharedBuffer)
+        assert not buf.shuffle
         before = list(buf.buffer_ids)
         sched.add_tasks(3, 2)
         assert len(buf.buffer_ids) == len(before) + 2

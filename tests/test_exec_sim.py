@@ -2,8 +2,11 @@
 import pytest
 
 from repro.engine import plan as P
+from repro.core import AutoTuner, ScriptExecutor
 from repro.engine.exec_sim import ByteElasticBuffer, SimExecutor, SimQuery, StageCost
 from repro.engine.plan import fragment_plan
+from repro.experiments import q2j_switching, q3_intratask
+from repro.queries.tpch import QUERIES
 
 GB = 1e9
 MB = 1e6
@@ -325,3 +328,66 @@ class TestByteElasticBuffer:
         b.take(50 * MB)
         b.tick(0.6)
         assert b.capacity == pytest.approx(60 * MB)
+
+
+def _assert_topology_consistent(ex):
+    """ROADMAP aim 3's engine invariants over the scheduler's topology."""
+    exe = ex.exe
+    tasks = [t for stage in exe.stages.values() for t in stage.tasks]
+    assert sum(n.active_drivers for n in exe.cluster.nodes) == sum(t.dop for t in tasks)
+    for sid, buf in exe.out_buffers.items():
+        parent = exe.parent_stage(sid)
+        seqs = sorted(t.seq for t in parent.tasks) if parent is not None else []
+        assert sorted(buf.buffer_ids) == seqs, sid
+        assert all(buf.groups), sid  # no empty task group left behind
+    for st in ex.states.values():
+        if st.probing_task_ids is not None:
+            assert st.probing_task_ids
+
+
+class TestTopology:
+    def test_partitioned_switch_retires_old_group(self):
+        # §4.5: after a 2 -> 4 switch the children's buffers serve exactly
+        # the new task group, and the parents forget the retired tasks
+        ex = SimExecutor(QUERIES["Q2J"].sim_query(), stage_dop=2)
+        while ex.t < 120.0:
+            ex.step()
+        assert ex.set_stage_dop(1, 4).applied
+        assert ex.exe.out_buffers[2].groups == [[0, 1], [2, 3, 4, 5]]
+        while ex.states[1].pending_switch is not None:
+            ex.step()
+        new_seqs = [t.seq for t in ex.exe.stages[1].tasks]
+        assert new_seqs == [2, 3, 4, 5]
+        for cid in (2, 3):
+            assert ex.exe.out_buffers[cid].buffer_ids == new_seqs
+            assert ex.exe.out_buffers[cid].groups == [new_seqs]
+        retired = {"task1_0", "task1_1"}
+        for ptask in ex.exe.stages[0].tasks:
+            assert retired.isdisjoint(s.task_id for s in ptask.upstream_addresses())
+
+    def test_task_dop_below_one_rejected(self):
+        ex = SimExecutor(QUERIES["Q3"].sim_query())
+        out = ex.set_task_dop(1, 0)
+        assert not out.applied
+        assert ex.exe.stages[1].task_dop == 1
+        assert ex.exe.rpc_requests == ex.exe.init_rpc_requests  # nothing charged
+        _assert_topology_consistent(ex)
+
+    def test_stage_dop_below_one_rejected(self):
+        ex = SimExecutor(QUERIES["Q3"].sim_query())
+        out = ex.set_stage_dop(2, 0)
+        assert not out.applied
+        assert ex.exe.stages[2].dop == 1
+        assert ex.exe.rpc_requests == ex.exe.init_rpc_requests
+        assert ex.run() > 0  # the stage still has a task to finish it
+
+    @pytest.mark.parametrize("query,stage_dop,script", [
+        ("Q3", 1, q3_intratask.SCRIPT),
+        ("Q2J", 2, q2j_switching.SCRIPT),
+    ], ids=["Q3-E1", "Q2J-E3"])
+    def test_invariants_hold_through_scripted_run(self, query, stage_dop, script):
+        ex = SimExecutor(QUERIES[query].sim_query(), stage_dop=stage_dop)
+        sc = ScriptExecutor.from_text(script)
+        ex.run(controllers=[sc.controller(AutoTuner(ex)), lambda t, e: _assert_topology_consistent(e)])
+        assert sc.applied()
+        _assert_topology_consistent(ex)

@@ -1,40 +1,8 @@
-"""Tests for pages and splits (repro.engine.pages / splits)."""
+"""Tests for splits (repro.engine.splits)."""
 import pandas as pd
 import pytest
 
-from repro.engine.pages import DEFAULT_PAGE_BYTES, END_PAGE, Page, end_page, paginate
 from repro.engine.splits import RemoteSplit, RemoteSplitSet, SplitSource, SystemSplit
-
-
-class TestPages:
-    def test_end_page_flag(self):
-        assert END_PAGE.is_end
-        assert end_page().is_end
-        assert not Page(rows=1, bytes=10).is_end
-
-    def test_end_page_fresh_instances(self):
-        assert end_page() is not END_PAGE
-
-    def test_is_empty(self):
-        assert Page().is_empty()
-        assert not Page(rows=1).is_empty()
-        assert not end_page().is_empty()
-
-    def test_paginate_total_bytes(self):
-        pages = paginate(3_500_000, rows=350)
-        assert sum(p.bytes for p in pages) == 3_500_000
-        assert len(pages) == 4
-
-    def test_paginate_rows_conserved(self):
-        pages = paginate(2_000_000, rows=123)
-        assert sum(p.rows for p in pages) == 123
-
-    def test_paginate_page_size(self):
-        pages = paginate(10 * DEFAULT_PAGE_BYTES, rows=10)
-        assert all(p.bytes == DEFAULT_PAGE_BYTES for p in pages)
-
-    def test_paginate_empty(self):
-        assert paginate(0, rows=0) == []
 
 
 class TestSplitSource:

@@ -4,10 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import plan as P
-from repro.engine.buffers import RuntimeElasticBuffer
-from repro.engine.exec_sim import ByteElasticBuffer
-from repro.engine.operators import Operator
-from repro.engine.pages import Page, end_page, paginate
+from repro.engine.exec_sim import DEFAULT_PAGE_BYTES, ByteElasticBuffer
 from repro.engine.splits import SplitSource
 
 # random physical plans: scans at the leaves, joins/filters above, every
@@ -52,17 +49,6 @@ class TestFragmentationProperties:
                 assert frag.build_source() is not None
 
 
-class TestPaginateProperties:
-    @given(total=st.integers(min_value=1, max_value=50_000_000),
-           rows=st.integers(min_value=1, max_value=100_000))
-    @settings(max_examples=60, deadline=None)
-    def test_bytes_and_rows_conserved(self, total, rows):
-        pages = paginate(total, rows)
-        assert sum(p.bytes for p in pages) == total
-        assert sum(p.rows for p in pages) == rows
-        assert all(not p.is_end for p in pages)
-
-
 class TestSplitProperties:
     @given(n_rows=st.integers(min_value=1, max_value=2000),
            n_nodes=st.integers(min_value=1, max_value=10),
@@ -77,52 +63,32 @@ class TestSplitProperties:
         assert len({s.split_id for s in src.splits}) == len(src)
 
 
-class TestOperatorProperties:
-    @given(pages=st.lists(
-        st.tuples(st.integers(0, 10_000), st.integers(0, 1_000_000)),
-        min_size=0, max_size=30),
-        sel=st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=60, deadline=None)
-    def test_stateless_conservation_bounds(self, pages, sel):
-        op = Operator("filter", selectivity=sel)
-        for rows, nbytes in pages:
-            op.process(Page(rows=rows, bytes=nbytes))
-        out = op.process(end_page())
-        assert out[-1].is_end
-        assert op.rows_out <= op.rows_in
-        assert op.bytes_out <= op.bytes_in
-        assert op.state == "finished"
-
-    @given(pages=st.lists(
-        st.tuples(st.integers(0, 10_000), st.integers(0, 1_000_000)),
-        min_size=1, max_size=30))
-    @settings(max_examples=40, deadline=None)
-    def test_stateful_flushes_everything_at_end(self, pages):
-        op = Operator("final_agg", selectivity=1.0)
-        for rows, nbytes in pages:
-            assert op.process(Page(rows=rows, bytes=nbytes)) == []
-        op.process(end_page())
-        assert op.rows_out == op.rows_in
-
-
 class TestElasticBufferProperties:
-    @given(ops=st.lists(st.sampled_from(["offer", "pull", "tick"]),
+    @given(ops=st.lists(st.sampled_from(["fill", "take", "tick", "end"]),
                         min_size=1, max_size=200))
     @settings(max_examples=40, deadline=None)
     def test_queue_never_exceeds_capacity_plus_ends(self, ops):
-        b = RuntimeElasticBuffer()
+        # §4.2.2: a producer that respects free() never fills past capacity;
+        # a resize never drops buffered bytes; the end adds no data; and the
+        # capacity never shrinks below one page
+        b = ByteElasticBuffer()
         t = 0.0
         for op in ops:
-            if op == "offer":
-                b.offer(Page(rows=1, bytes=100))
-            elif op == "pull":
-                b.pull()
-            else:
+            before = b.level
+            if op == "fill":
+                b.push(b.free())
+            elif op == "take":
+                b.take(DEFAULT_PAGE_BYTES / 2)
+            elif op == "tick":
                 t += 0.6
                 b.tick(t)
-            data_pages = sum(1 for p in b.queue if not p.is_end)
-            assert data_pages <= b.capacity_pages
-            assert b.capacity_pages >= 1
+            else:
+                b.ended = True
+            if b.level > before:
+                assert b.level <= b.capacity
+            if op in ("tick", "end"):
+                assert b.level == before
+            assert b.capacity >= DEFAULT_PAGE_BYTES
 
     @given(amounts=st.lists(st.floats(min_value=0.0, max_value=1e8),
                             min_size=1, max_size=50))

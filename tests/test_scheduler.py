@@ -2,7 +2,6 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.engine.buffers import ShuffleBuffer, SharedBuffer
 from repro.engine.plan import fragment_plan
 from repro.engine.scheduler import DynamicScheduler, schedule_query
 from repro.queries.tpch import q2j_plan, q3_plan
@@ -60,13 +59,13 @@ class TestScheduleQuery:
 
     def test_partitioned_join_children_get_shuffle_buffers(self):
         exe = _q2j_exe()
-        assert isinstance(exe.out_buffers[2], ShuffleBuffer)
-        assert isinstance(exe.out_buffers[3], ShuffleBuffer)
-        assert isinstance(exe.out_buffers[1], SharedBuffer)
+        assert exe.out_buffers[2].shuffle
+        assert exe.out_buffers[3].shuffle
+        assert not exe.out_buffers[1].shuffle
 
     def test_broadcast_join_children_get_shared_buffers(self):
         exe = _q3_exe()
-        assert isinstance(exe.out_buffers[2], SharedBuffer)
+        assert not exe.out_buffers[2].shuffle
 
     def test_init_rpc_accounting(self):
         # paper Q3: 65 requests, ~313 ms (1–10 ms each)
@@ -125,9 +124,9 @@ class TestDynamicScheduler:
     def test_add_tasks_allocates_buffer_ids(self):
         exe = _q2j_exe()
         sched = DynamicScheduler(exe)
-        before = len(exe.out_buffers[2].all_buffer_ids())
+        before = len(exe.out_buffers[2].buffer_ids)
         sched.add_tasks(1, 2)
-        assert len(exe.out_buffers[2].all_buffer_ids()) == before + 2
+        assert len(exe.out_buffers[2].buffer_ids) == before + 2
 
     def test_remove_tasks_drops_addresses(self):
         # §4.4: end signal path — parents delete the victim's RPC address

@@ -127,14 +127,3 @@ class TestSparkGenerators:
             want.sort_values("s_suppkey").reset_index(drop=True),
             check_dtype=False,
         )
-
-    def test_zipf_keys_skewed(self, spark):
-        df = sd.zipf_keys(spark, n=5000, n_keys=100, alpha=1.2)
-        counts = df.groupBy("k").count().toPandas().sort_values("count", ascending=False)
-        # most frequent key should dominate a uniform share by far
-        assert counts["count"].iloc[0] > 3 * (5000 / 100)
-
-    def test_uniform_keys_range(self, spark):
-        pdf = sd.uniform_keys(spark, n=1000, n_keys=10).toPandas()
-        assert pdf.k.between(1, 10).all()
-        assert len(pdf) == 1000

@@ -18,23 +18,11 @@ class TestTask:
         assert t.task_id == "task3_2"
         assert "compute0" in t.url
 
-    def test_pipelines_built_from_fragment(self):
-        t = Task(2, 0, "compute0", _scan_fragment())
-        assert len(t.pipelines) == 1
-        assert t.pipelines[0].kinds() == ["table_scan", "task_output"]
-
     def test_set_dop_spawns_and_closes_drivers(self):
         t = Task(2, 0, "compute0", _scan_fragment())
         assert t.set_dop(4) == 4
         assert t.dop == 4
         assert t.set_dop(2) == 2
-
-    def test_main_pipeline_is_output_pipeline(self):
-        probe = P.PlanNode(P.REMOTE_SOURCE, props={"role": "probe"})
-        build = P.PlanNode(P.REMOTE_SOURCE, props={"role": "build"})
-        frag = P.Fragment(1, P.hash_join(probe, build, partitioned=False))
-        t = Task(1, 0, "compute0", frag)
-        assert t.main_pipeline().is_output_pipeline()
 
     def test_remote_split_wiring(self):
         t = Task(1, 0, "compute0", _scan_fragment(1))
@@ -46,7 +34,7 @@ class TestTask:
 
     def test_context_defaults(self):
         t = Task(2, 0, "compute0", _scan_fragment())
-        assert t.context.rows_processed == 0
+        assert t.context.hash_build_time_s == 0.0
         assert not t.context.finished
 
 
