@@ -19,7 +19,7 @@ from pyspark.sql import SparkSession  # noqa: E402
 
 from repro.oracle import assert_equivalent  # noqa: E402
 from repro.queries.tpch import QUERIES, load_tables  # noqa: E402
-from repro.spark_iqre import SPECS, run_microbatch  # noqa: E402
+from repro.spark_iqre import run_microbatch  # noqa: E402
 
 
 def main(sf: float = 0.01) -> None:
@@ -35,7 +35,7 @@ def main(sf: float = 0.01) -> None:
         df = qdef.spark_impl(spark, {t: tables[t] for t in qdef.tables})
         assert_equivalent(df, qdef.duckdb_sql, **{t: tables[t] for t in qdef.tables})
         print(f"  {name}: single-shot Spark == DuckDB  OK")
-        if name in SPECS:
+        if qdef.probe_table:
             run = run_microbatch(spark, name, tables, n_batches=3, dop_schedule=[2, 8, 4])
             assert_equivalent(run.result, qdef.duckdb_sql, **{t: tables[t] for t in qdef.tables})
             print(f"  {name}: micro-batch IQRE (DOPs {run.batch_dops}) == DuckDB  OK")

@@ -39,7 +39,14 @@ from repro.queries.catalog import sf100_bytes
 
 @dataclass
 class QueryDef:
-    """One workload query: sim spec + Spark impl + oracle SQL."""
+    """One workload query: sim spec + Spark impl + oracle SQL.
+
+    A query with a ``probe_table`` is two-phase (§4.1): ``partial`` maps
+    the tables to a mergeable partial result and ``merge`` turns the union
+    of partials into the answer. Single-shot Spark runs
+    ``merge(partial(tables))``; the micro-batch harness calls ``partial``
+    once per probe-table batch, so the DOP can change between batches.
+    """
 
     name: str
     description: str
@@ -49,9 +56,20 @@ class QueryDef:
     _sim: Callable[[], SimQuery]
     #: probe-side table for the micro-batch IQRE harness (None = no harness).
     probe_table: str | None = None
+    partial: Callable[[dict[str, DataFrame]], DataFrame] | None = None
+    merge: Callable[[DataFrame], DataFrame] | None = None
 
     def sim_query(self) -> SimQuery:
         return self._sim()
+
+
+def _two_phase(name: str, description: str, tables: list[str], sql: str,
+               sim: Callable[[], SimQuery], probe_table: str,
+               partial: Callable[[dict[str, DataFrame]], DataFrame],
+               merge: Callable[[DataFrame], DataFrame]) -> QueryDef:
+    return QueryDef(name, description, tables, sql,
+                    lambda spark, t: merge(partial(t)), sim,
+                    probe_table, partial, merge)
 
 
 def _scan(table: str, selectivity: float, *, rate: float = cal.SCAN_RATE_MB_S,
@@ -79,16 +97,27 @@ GROUP BY l_returnflag, l_linestatus
 """
 
 
-def q1_spark(spark: SparkSession, t: dict[str, DataFrame]) -> DataFrame:
-    li = t["lineitem"]
+def q1_partial(t: dict[str, DataFrame]) -> DataFrame:
     return (
-        li.where(F.col("l_shipdate") <= F.lit("1998-09-02").cast("timestamp"))
+        t["lineitem"].where(F.col("l_shipdate") <= F.lit("1998-09-02").cast("timestamp"))
         .groupBy("l_returnflag", "l_linestatus")
         .agg(
             F.sum("l_quantity").alias("sum_qty"),
             F.sum("l_extendedprice").alias("sum_base"),
-            F.avg("l_discount").alias("avg_disc"),
+            F.sum("l_discount").alias("sum_disc"),
             F.count(F.lit(1)).alias("count_order"),
+        )
+    )
+
+
+def q1_merge(parts: DataFrame) -> DataFrame:
+    return (
+        parts.groupBy("l_returnflag", "l_linestatus")
+        .agg(
+            F.sum("sum_qty").alias("sum_qty"),
+            F.sum("sum_base").alias("sum_base"),
+            (F.sum("sum_disc") / F.sum("count_order")).alias("avg_disc"),
+            F.sum("count_order").alias("count_order"),
         )
     )
 
@@ -126,7 +155,7 @@ LIMIT 10
 """
 
 
-def q3_spark(spark: SparkSession, t: dict[str, DataFrame]) -> DataFrame:
+def q3_partial(t: dict[str, DataFrame]) -> DataFrame:
     c = t["customer"].where(F.col("c_mktsegment") == "BUILDING")
     o = t["orders"].where(F.col("o_orderdate") < F.lit("1995-03-15").cast("timestamp"))
     li = t["lineitem"].where(F.col("l_shipdate") > F.lit("1995-03-15").cast("timestamp"))
@@ -135,6 +164,13 @@ def q3_spark(spark: SparkSession, t: dict[str, DataFrame]) -> DataFrame:
         .join(c, o.o_custkey == c.c_custkey)
         .groupBy("l_orderkey", "o_orderdate")
         .agg(F.sum(F.col("l_extendedprice") * (1 - F.col("l_discount"))).alias("revenue"))
+    )
+
+
+def q3_merge(parts: DataFrame) -> DataFrame:
+    return (
+        parts.groupBy("l_orderkey", "o_orderdate")
+        .agg(F.sum("revenue").alias("revenue"))
         .orderBy(F.desc("revenue"), F.asc("l_orderkey"))
         .limit(10)
         .select("l_orderkey", "revenue", "o_orderdate")
@@ -180,12 +216,17 @@ INNER JOIN orders ON l_orderkey = o_orderkey
 """
 
 
-def q2j_spark(spark: SparkSession, t: dict[str, DataFrame]) -> DataFrame:
+def q2j_partial(t: dict[str, DataFrame]) -> DataFrame:
     li, o = t["lineitem"], t["orders"]
     return (
         li.join(o, li.l_orderkey == o.o_orderkey)
         .agg(F.count("l_orderkey").alias("cnt"))
     )
+
+
+def sum_counts(parts: DataFrame) -> DataFrame:
+    """Merge of the count queries Q2J and QSHUF."""
+    return parts.agg(F.sum("cnt").alias("cnt"))
 
 
 def q2j_plan() -> P.PlanNode:
@@ -222,7 +263,7 @@ WHERE c_nationkey = 9
 """
 
 
-def qshuf_spark(spark: SparkSession, t: dict[str, DataFrame]) -> DataFrame:
+def qshuf_partial(t: dict[str, DataFrame]) -> DataFrame:
     o = t["orders"]
     c = t["customer"].where(F.col("c_nationkey") == 9)
     return o.join(c, o.o_custkey == c.c_custkey).agg(F.count("o_orderkey").alias("cnt"))
@@ -530,24 +571,22 @@ def q7_sim() -> SimQuery:
 # registry
 # =========================================================================
 QUERIES: dict[str, QueryDef] = {
-    "Q1": QueryDef(
+    "Q1": _two_phase(
         "Q1", "pricing summary (scan + 2-phase agg)",
-        ["lineitem"], Q1_SQL, q1_spark, q1_sim, probe_table="lineitem",
+        ["lineitem"], Q1_SQL, q1_sim, "lineitem", q1_partial, q1_merge,
     ),
-    "Q3": QueryDef(
+    "Q3": _two_phase(
         "Q3", "shipping priority (two broadcast joins + topN)",
-        ["customer", "orders", "lineitem"], Q3_SQL, q3_spark, q3_sim,
-        probe_table="lineitem",
+        ["customer", "orders", "lineitem"], Q3_SQL, q3_sim,
+        "lineitem", q3_partial, q3_merge,
     ),
-    "Q2J": QueryDef(
+    "Q2J": _two_phase(
         "Q2J", "two-way partitioned join (Fig. 15)",
-        ["lineitem", "orders"], Q2J_SQL, q2j_spark, q2j_sim,
-        probe_table="lineitem",
+        ["lineitem", "orders"], Q2J_SQL, q2j_sim, "lineitem", q2j_partial, sum_counts,
     ),
-    "QSHUF": QueryDef(
+    "QSHUF": _two_phase(
         "QSHUF", "orders⋈customer, shuffle-bottlenecked (§6.4.2)",
-        ["orders", "customer"], QSHUF_SQL, qshuf_spark, qshuf_sim,
-        probe_table="orders",
+        ["orders", "customer"], QSHUF_SQL, qshuf_sim, "orders", qshuf_partial, sum_counts,
     ),
     "Q2": QueryDef(
         "Q2", "min-cost supplier (auto-tuning subject, §6.5.2)",

@@ -1,14 +1,12 @@
 """IQRE demonstrated on the real Spark runtime (micro-batch DOP changes)."""
 from repro.spark_iqre.microbatch import (
-    SPECS,
     MicrobatchRun,
-    MicrobatchSpec,
     run_microbatch,
+    script_to_dop_schedule,
 )
 
 __all__ = [
-    "SPECS",
     "MicrobatchRun",
-    "MicrobatchSpec",
     "run_microbatch",
+    "script_to_dop_schedule",
 ]

@@ -13,6 +13,12 @@ and between batches the driver retunes ``spark.sql.shuffle.partitions``
 query). Partial aggregates are merged at the end, mirroring Accordion's
 two-phase aggregation model (§4.1).
 
+A query runs here if its ``QueryDef`` names a ``probe_table``; each batch
+runs the query's own ``partial`` and the union goes through its ``merge``,
+the same two functions its single-shot Spark form composes.
+``script_to_dop_schedule`` turns a paper-notation tuning script
+("AP S1,2,4 @ 10" …) into such a per-batch DOP schedule.
+
 Every runner returns a DataFrame that tests check against the DuckDB
 oracle — changing the DOP mid-query must never change the answer.
 """
@@ -24,19 +30,11 @@ from typing import Callable
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.script import AC, AP, RP, ScriptAction
+from repro.queries.tpch import QUERIES
 
-@dataclass
-class MicrobatchSpec:
-    """How to run one query incrementally.
-
-    ``partial`` computes a mergeable partial result over one probe-side
-    batch; ``merge`` combines the union of partials into the final result.
-    """
-
-    probe_table: str
-    batch_key: str
-    partial: Callable[[SparkSession, dict[str, DataFrame], DataFrame], DataFrame]
-    merge: Callable[[SparkSession, DataFrame], DataFrame]
+#: probe table -> the column its rows are hashed on into batches.
+BATCH_KEYS = {"lineitem": "l_orderkey", "orders": "o_orderkey"}
 
 
 @dataclass
@@ -49,85 +47,18 @@ class MicrobatchRun:
     batch_partitions: list[int] = field(default_factory=list)
 
 
-# ---------------------------------------------------------------- Q1 spec
-def _q1_partial(spark, t, batch):
-    return (
-        batch.where(F.col("l_shipdate") <= F.lit("1998-09-02").cast("timestamp"))
-        .groupBy("l_returnflag", "l_linestatus")
-        .agg(
-            F.sum("l_quantity").alias("sum_qty"),
-            F.sum("l_extendedprice").alias("sum_base"),
-            F.sum("l_discount").alias("sum_disc"),
-            F.count(F.lit(1)).alias("count_order"),
-        )
-    )
+def script_to_dop_schedule(actions: list[ScriptAction], *, initial_dop: int = 2) -> list[int]:
+    """Derive a per-batch shuffle-DOP schedule from a tuning script.
 
-
-def _q1_merge(spark, parts):
-    return (
-        parts.groupBy("l_returnflag", "l_linestatus")
-        .agg(
-            F.sum("sum_qty").alias("sum_qty"),
-            F.sum("sum_base").alias("sum_base"),
-            (F.sum("sum_disc") / F.sum("count_order")).alias("avg_disc"),
-            F.sum("count_order").alias("count_order"),
-        )
-    )
-
-
-# ---------------------------------------------------------------- Q3 spec
-def _q3_partial(spark, t, batch):
-    c = t["customer"].where(F.col("c_mktsegment") == "BUILDING")
-    o = t["orders"].where(F.col("o_orderdate") < F.lit("1995-03-15").cast("timestamp"))
-    li = batch.where(F.col("l_shipdate") > F.lit("1995-03-15").cast("timestamp"))
-    return (
-        li.join(o, li.l_orderkey == o.o_orderkey)
-        .join(c, o.o_custkey == c.c_custkey)
-        .groupBy("l_orderkey", "o_orderdate")
-        .agg(F.sum(F.col("l_extendedprice") * (1 - F.col("l_discount"))).alias("revenue"))
-    )
-
-
-def _q3_merge(spark, parts):
-    return (
-        parts.groupBy("l_orderkey", "o_orderdate")
-        .agg(F.sum("revenue").alias("revenue"))
-        .orderBy(F.desc("revenue"), F.asc("l_orderkey"))
-        .limit(10)
-        .select("l_orderkey", "revenue", "o_orderdate")
-    )
-
-
-# --------------------------------------------------------------- Q2J spec
-def _q2j_partial(spark, t, batch):
-    o = t["orders"]
-    return batch.join(o, batch.l_orderkey == o.o_orderkey).agg(
-        F.count("l_orderkey").alias("cnt")
-    )
-
-
-def _q2j_merge(spark, parts):
-    return parts.agg(F.sum("cnt").alias("cnt"))
-
-
-# ------------------------------------------------------------- QSHUF spec
-def _qshuf_partial(spark, t, batch):
-    c = t["customer"].where(F.col("c_nationkey") == 9)
-    return batch.join(c, batch.o_custkey == c.c_custkey).agg(
-        F.count("o_orderkey").alias("cnt")
-    )
-
-
-def _qshuf_merge(spark, parts):
-    return parts.agg(F.sum("cnt").alias("cnt"))
-
-
-SPECS: dict[str, MicrobatchSpec] = {
-    "Q1": MicrobatchSpec("lineitem", "l_orderkey", _q1_partial, _q1_merge),
-    "Q3": MicrobatchSpec("lineitem", "l_orderkey", _q3_partial, _q3_merge),
-    "Q2J": MicrobatchSpec("lineitem", "l_orderkey", _q2j_partial, _q2j_merge),
-    "QSHUF": MicrobatchSpec("orders", "o_orderkey", _qshuf_partial, _qshuf_merge),
-}
+    One batch runs at the initial DOP, then one batch per scripted
+    parallelism change, in time order, at that action's target DOP — the
+    micro-batch analogue of "the adjustment takes effect from this point
+    on". An action targeting a DOP below 1 is dropped, as the simulator's
+    request filter rejects it.
+    """
+    return [initial_dop] + [
+        a.b for a in sorted(actions, key=lambda a: a.t) if a.kind in (AC, AP, RP) and a.b >= 1
+    ]
 
 
 def run_microbatch(
@@ -143,9 +74,15 @@ def run_microbatch(
 
     ``dop_schedule`` maps batch index -> shuffle partition count; default
     doubles the DOP every batch starting from 2 (start small, scale up —
-    the paper's headline usage pattern).
+    the paper's headline usage pattern). A query without a probe table,
+    ``n_batches < 1`` or a scheduled DOP below 1 raises ``ValueError``.
     """
-    spec = SPECS[query]
+    qdef = QUERIES.get(query)
+    if qdef is None or qdef.probe_table is None:
+        raise ValueError(f"query {query!r} has no micro-batch form; these do: "
+                         f"{sorted(q for q, d in QUERIES.items() if d.probe_table)}")
+    if n_batches < 1:
+        raise ValueError(f"n_batches must be >= 1, got {n_batches}")
     if dop_schedule is None:
         schedule: Callable[[int], int] = lambda i: 2 << i  # noqa: E731
     elif isinstance(dop_schedule, list):
@@ -154,9 +91,9 @@ def run_microbatch(
     else:
         schedule = dop_schedule
 
-    probe = tables[spec.probe_table]
-    batched = probe.withColumn(
-        "__batch", F.pmod(F.abs(F.hash(F.col(spec.batch_key))), F.lit(n_batches))
+    probe = qdef.probe_table
+    batched = tables[probe].withColumn(
+        "__batch", F.pmod(F.abs(F.hash(F.col(BATCH_KEYS[probe]))), F.lit(n_batches))
     )
     old_dop = spark.conf.get("spark.sql.shuffle.partitions")
     run = MicrobatchRun(result=None, n_batches=n_batches)  # type: ignore[arg-type]
@@ -164,11 +101,13 @@ def run_microbatch(
     schema = None
     try:
         for i in range(n_batches):
-            dop = max(1, int(schedule(i)))
+            dop = int(schedule(i))
+            if dop < 1:
+                raise ValueError(f"shuffle DOP must be >= 1, got {dop} for batch {i}")
             spark.conf.set("spark.sql.shuffle.partitions", str(dop))
             run.batch_dops.append(dop)
             batch = batched.where(F.col("__batch") == i).drop("__batch")
-            part = spec.partial(spark, tables, batch)
+            part = qdef.partial({**tables, probe: batch})
             schema = part.schema
             run.batch_partitions.append(part.rdd.getNumPartitions())
             # Materialize under the current DOP — this is the point where
@@ -180,5 +119,5 @@ def run_microbatch(
 
     union_pdf = pd.concat(partial_pdfs, ignore_index=True)
     parts_df = spark.createDataFrame(union_pdf, schema=schema)
-    run.result = spec.merge(spark, parts_df)
+    run.result = qdef.merge(parts_df)
     return run

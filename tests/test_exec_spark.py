@@ -1,10 +1,13 @@
-"""Tests for the script-driven Spark data plane (repro.engine.exec_spark)."""
+"""Tests for the script-driven Spark data plane: a paper-notation tuning
+script becomes a per-batch shuffle-DOP schedule
+(``repro.spark_iqre.script_to_dop_schedule``) that ``run_microbatch``
+applies mid-query."""
 import pytest
 
-from repro.core.script import parse_script
-from repro.engine.exec_spark import run_with_script, script_to_dop_schedule
+from repro.core.script import ScriptAction, parse_script
 from repro.oracle import assert_equivalent
 from repro.queries.tpch import QUERIES, load_tables
+from repro.spark_iqre import run_microbatch, script_to_dop_schedule
 
 SF = 0.005
 
@@ -34,23 +37,36 @@ class TestScheduleDerivation:
     def test_empty_script(self):
         assert script_to_dop_schedule([], initial_dop=3) == [3]
 
+    def test_action_below_dop_one_dropped(self):
+        # The simulator's filter rejects these ("DOP must be >= 1"); the
+        # Spark plane must not run them clamped to 1 instead.
+        acts = parse_script("AP S1,2,4 @ 10\nRP S1,4,0 @ 20\nAC S1,4,6 @ 30")
+        acts.append(ScriptAction(t=40, kind="RP", stage_id=1, a=6, b=-3))
+        assert script_to_dop_schedule(acts) == [2, 4, 6]
+
+
+def _run_script(spark, query, tables, script_text):
+    schedule = script_to_dop_schedule(parse_script(script_text))
+    run = run_microbatch(spark, query, tables, n_batches=len(schedule), dop_schedule=schedule)
+    return schedule, run
+
 
 class TestRealExecution:
     def test_q2j_with_paper_script_matches_oracle(self, spark, tables):
         qdef = QUERIES["Q2J"]
-        res = run_with_script(
+        schedule, run = _run_script(
             spark, "Q2J", tables, "AP S1,2,4 @ 120\nAP S1,4,6 @ 290\nAP S1,6,8 @ 450"
         )
-        assert res.schedule == [2, 4, 6, 8]
-        assert res.run.batch_dops == [2, 4, 6, 8]
+        assert schedule == [2, 4, 6, 8]
+        assert run.batch_dops == [2, 4, 6, 8]
         assert_equivalent(
-            res.result, qdef.duckdb_sql, **{t: tables[t] for t in qdef.tables}
+            run.result, qdef.duckdb_sql, **{t: tables[t] for t in qdef.tables}
         )
 
     def test_q3_with_mixed_script_matches_oracle(self, spark, tables):
         qdef = QUERIES["Q3"]
-        res = run_with_script(spark, "Q3", tables, "AP S1,2,8 @ 5\nRP S1,8,4 @ 50")
-        assert res.schedule == [2, 8, 4]
+        schedule, run = _run_script(spark, "Q3", tables, "AP S1,2,8 @ 5\nRP S1,8,4 @ 50")
+        assert schedule == [2, 8, 4]
         assert_equivalent(
-            res.result, qdef.duckdb_sql, **{t: tables[t] for t in qdef.tables}
+            run.result, qdef.duckdb_sql, **{t: tables[t] for t in qdef.tables}
         )

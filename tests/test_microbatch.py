@@ -7,9 +7,11 @@ import pytest
 
 from repro.oracle import assert_equivalent
 from repro.queries.tpch import QUERIES, load_tables
-from repro.spark_iqre import SPECS, run_microbatch
+from repro.spark_iqre import run_microbatch
 
 SF = 0.005
+#: The queries with a micro-batch form: those whose QueryDef names a probe table.
+MICROBATCH = sorted(q for q, d in QUERIES.items() if d.probe_table)
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +21,7 @@ def tables(spark):
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("name", sorted(SPECS))
+    @pytest.mark.parametrize("name", MICROBATCH)
     def test_matches_oracle_with_dop_changes(self, spark, tables, name):
         qdef = QUERIES[name]
         sub = {t: tables[t] for t in qdef.tables}
@@ -38,6 +40,40 @@ class TestCorrectness:
         assert_equivalent(
             run.result, qdef.duckdb_sql, **{t: tables[t] for t in qdef.tables}
         )
+
+
+class TestEmptyAndSkewedBatches:
+    @pytest.mark.parametrize("name", MICROBATCH)
+    @pytest.mark.parametrize("probe_rows,n_batches", [(0, 3), (3, 8)],
+                             ids=["empty-probe", "3-rows-8-batches"])
+    def test_matches_oracle(self, spark, tables, name, probe_rows, n_batches):
+        # With 3 rows over 8 batches, at least five batches are empty.
+        qdef = QUERIES[name]
+        sub = {t: tables[t] for t in qdef.tables}
+        sub[qdef.probe_table] = sub[qdef.probe_table].limit(probe_rows).cache()
+        assert sub[qdef.probe_table].count() == probe_rows
+        run = run_microbatch(spark, name, sub, n_batches=n_batches)
+        assert_equivalent(run.result, qdef.duckdb_sql, **sub)
+
+
+class TestHostileInputs:
+    def test_dop_below_one_rejected(self, spark, tables):
+        before = spark.conf.get("spark.sql.shuffle.partitions")
+        with pytest.raises(ValueError, match="DOP must be >= 1, got 0"):
+            run_microbatch(spark, "Q2J", tables, n_batches=2, dop_schedule=[0, -3])
+        with pytest.raises(ValueError, match="DOP must be >= 1, got -3"):
+            run_microbatch(spark, "Q2J", tables, n_batches=2, dop_schedule=[2, -3])
+        assert spark.conf.get("spark.sql.shuffle.partitions") == before
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_batches_below_one_rejected(self, spark, tables, n):
+        with pytest.raises(ValueError, match="n_batches"):
+            run_microbatch(spark, "Q2J", tables, n_batches=n)
+
+    @pytest.mark.parametrize("name", ["Q5", "NOPE"])
+    def test_query_without_microbatch_form_rejected(self, spark, tables, name):
+        with pytest.raises(ValueError, match=name):
+            run_microbatch(spark, name, tables, n_batches=2)
 
 
 class TestDopMechanics:
@@ -65,6 +101,4 @@ class TestDopMechanics:
         assert all(p >= 1 for p in run.batch_partitions)
 
     def test_specs_cover_probe_queries(self):
-        assert set(SPECS) == {"Q1", "Q3", "Q2J", "QSHUF"}
-        for name, spec in SPECS.items():
-            assert spec.probe_table == QUERIES[name].probe_table
+        assert set(MICROBATCH) == {"Q1", "Q3", "Q2J", "QSHUF"}
