@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.predictor import WhatIfService
+from repro.core.runtime_info import QueryInfo
 from repro.engine.exec_sim import SimExecutor
+from repro.engine.plan import pins_stage
 
 STAGE = "stage"
 TASK = "task"
@@ -54,34 +56,35 @@ class TuningRequestFilter:
     def __post_init__(self) -> None:
         self.whatif = WhatIfService(self.executor)
 
-    def check(self, req: TuningRequest) -> FilterDecision:
-        d = self._check(req)
+    def check(self, req: TuningRequest, info: QueryInfo | None = None) -> FilterDecision:
+        """Decide ``req`` against the snapshot ``info`` (collected now if
+        none is given)."""
+        d = self._check(req, self.whatif.snapshot(info))
         self.decisions.append((req, d))
         return d
 
-    def _check(self, req: TuningRequest) -> FilterDecision:
-        ex = self.executor
-        if ex.done:
+    def _check(self, req: TuningRequest, info: QueryInfo) -> FilterDecision:
+        if info.done:
             return FilterDecision(False, "query already finished")
-        if req.stage_id not in ex.states:
+        s = info.stages.get(req.stage_id)
+        if s is None:
             return FilterDecision(False, f"unknown stage {req.stage_id}")
-        st = ex.states[req.stage_id]
-        if st.ended:
+        if s.finished:
             return FilterDecision(False, f"stage {req.stage_id} already finished")
         if req.new_dop < 1:
             return FilterDecision(False, "DOP must be >= 1")
-        if req.stage_id in ex.exe.final_stage_ids():
+        if pins_stage(self.executor.query.tree[req.stage_id].root):
             return FilterDecision(False, "final aggregation stage: parallelism fixed at 1 (§4.1)")
-        cur = st.effective_dop() if req.kind == STAGE else st.stage.task_dop
+        cur = s.dop if req.kind == STAGE else s.task_dop
         if req.new_dop == cur:
             return FilterDecision(False, "no-op: stage already at requested DOP")
         # §5.2: join stages near completion — rebuilding costs more than the
         # time the stage has left.
-        if req.kind == STAGE and st.has_join and req.new_dop > cur:
-            if st.pending_switch is not None:
+        if req.kind == STAGE and s.has_join and req.new_dop > cur:
+            if s.switching:
                 return FilterDecision(False, "a DOP switch is already in progress")
-            t_remain = self.whatif.remaining_time_s(req.stage_id)
-            t_build = self.whatif.build_time_s(req.stage_id, req.new_dop)
+            t_remain = self.whatif.remaining_time_s(req.stage_id, info)
+            t_build = self.whatif.build_time_s(req.stage_id, req.new_dop, info)
             if t_remain < t_build:
                 return FilterDecision(
                     False,

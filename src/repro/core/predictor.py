@@ -14,13 +14,14 @@ reconstruction) for join stages. (§5.3 prints the formula without the
 trailing ``+ T_tuning``; the §6.5.1 worked example — (49.68-2.4)/4 + 2.4 —
 includes it, and we follow the example.)
 
-``n_f`` cannot be arbitrary: it is capped by the upstream stage's CPU
-headroom, estimated from the runtime collector's utilization data.
+``n_f`` cannot be arbitrary: it is capped by the upstream stage's output
+capacity over its recent output rate, both read from the runtime snapshot.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.core.runtime_info import QueryInfo, RuntimeInfoCollector
 from repro.engine.exec_sim import SimExecutor
 from repro.engine.hashjoin import estimate_build_time_s
 from repro.engine.plan import StageTree
@@ -59,33 +60,44 @@ class Prediction:
 
 @dataclass
 class WhatIfService:
-    """Prediction backend of the auto-tuner (Fig. 8's Predictor)."""
+    """Prediction backend of the auto-tuner (Fig. 8's Predictor).
+
+    Every method reads one runtime snapshot, ``info``, collected on the
+    spot when the caller passes none."""
 
     executor: SimExecutor
+    collector: RuntimeInfoCollector = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.collector = RuntimeInfoCollector(self.executor)
+
+    def snapshot(self, info: QueryInfo | None = None) -> QueryInfo:
+        """``info``, or a fresh snapshot when it is None."""
+        return self.collector.collect() if info is None else info
 
     # ------------------------------------------------------------- internals
-    def remaining_time_s(self, stage_id: int) -> float:
+    def remaining_time_s(self, stage_id: int, info: QueryInfo | None = None) -> float:
         """T_remain of a stage from its probe-side scan progress (§5.2)."""
-        scan_sid = probe_scan_stage(self.executor.query.tree, stage_id)
-        v_remain, r_consume = self.executor.scan_progress(scan_sid)
-        if r_consume <= 0.0:
+        scan = self.snapshot(info)[probe_scan_stage(self.executor.query.tree, stage_id)]
+        if scan.recent_rate_bytes_s <= 0.0:
             return float("inf")
-        return v_remain / r_consume
+        return scan.remaining_bytes / scan.recent_rate_bytes_s
 
-    def build_time_s(self, stage_id: int, new_dop: int) -> float:
+    def build_time_s(self, stage_id: int, new_dop: int, info: QueryInfo | None = None) -> float:
         """T_build for a hash-table reconstruction at ``new_dop`` (§5.2)."""
-        st = self.executor.states[stage_id]
-        if not st.has_join:
+        s = self.snapshot(info)[stage_id]
+        if not s.has_join:
             return 0.0
+        cost = self.executor.query.costs[stage_id]
         return estimate_build_time_s(
-            partitioned=st.partitioned,
-            build_bytes=st.expected_build,
+            partitioned=s.partitioned,
+            build_bytes=s.build_bytes,
             new_dop=new_dop,
-            rebuild_shuffle_rate_mb_s=st.cost.rebuild_shuffle_rate_mb_s,
-            build_rate_mb_s=st.cost.build_rate_mb_s,
+            rebuild_shuffle_rate_mb_s=cost.rebuild_shuffle_rate_mb_s,
+            build_rate_mb_s=cost.build_rate_mb_s,
         )
 
-    def max_n_f(self, stage_id: int) -> float:
+    def max_n_f(self, stage_id: int, info: QueryInfo | None = None) -> float:
         """Cap on the speedup factor from the upstream stage's headroom
         (§5.3: "the maximum n_f is influenced by the upstream stage's CPU
         and network utilization" — prevents requests like 'increase
@@ -110,24 +122,24 @@ class WhatIfService:
                 return 1.0
             src = inputs[0]
         up = src.child_stage_id
-        cap = self.executor.stage_output_capacity_bytes_s(up)
-        cur = self.executor.stage_recent_output_rate_bytes_s(up)
+        s = self.snapshot(info)[up]
+        cur = s.recent_rate_bytes_s * self.executor.query.costs[up].selectivity
         if cur <= 0.0:
-            return float(self.executor.cluster.compute_nodes()[0].cores)
-        return max(1.0, cap / cur)
+            return cores
+        return max(1.0, s.output_capacity_bytes_s / cur)
 
     # --------------------------------------------------------------- queries
-    def predict(self, stage_id: int, new_dop: int) -> Prediction:
+    def predict(self, stage_id: int, new_dop: int, info: QueryInfo | None = None) -> Prediction:
         """Estimate the stage's remaining time if its DOP became ``new_dop``."""
-        st = self.executor.states[stage_id]
-        cur = st.effective_dop()
-        t_remain = self.remaining_time_s(stage_id)
+        info = self.snapshot(info)
+        cur = info[stage_id].dop
+        t_remain = self.remaining_time_s(stage_id, info)
         requested_nf = new_dop / max(1, cur)
-        nf_max = self.max_n_f(stage_id)
+        nf_max = self.max_n_f(stage_id, info)
         # §5.3: if requested n < n_f_max use it, else fall back to the cap.
         n_f = requested_nf if requested_nf < nf_max else nf_max
         n_f = max(n_f, 1e-9)
-        t_tuning = self.build_time_s(stage_id, new_dop) if new_dop > cur else 0.0
+        t_tuning = self.build_time_s(stage_id, new_dop, info) if new_dop > cur else 0.0
         if t_remain == float("inf"):
             t_pred = float("inf")
         else:
@@ -144,6 +156,9 @@ class WhatIfService:
             t_predicted_s=t_pred,
         )
 
-    def dop_time_list(self, stage_id: int, dops: list[int]) -> list[Prediction]:
+    def dop_time_list(
+        self, stage_id: int, dops: list[int], info: QueryInfo | None = None
+    ) -> list[Prediction]:
         """§5.4: the DOP–time list the auto-tuner picks from."""
-        return [self.predict(stage_id, d) for d in dops]
+        info = self.snapshot(info)
+        return [self.predict(stage_id, d, info) for d in dops]

@@ -3,9 +3,10 @@
 Accordion organizes runtime information as a "query–stage–task" hierarchy:
 each task stores counters in its task context; the coordinator's runtime
 information collector periodically fetches them via task information
-fetchers and aggregates by stage and query. The auto-tuner, predictor,
-filter, and bottleneck localizer all read these snapshots, never the
-executor internals directly.
+fetchers and aggregates by stage and query. ``RuntimeInfoCollector.collect``
+is the control plane's only read of executor state: the auto-tuner,
+predictor, filter and bottleneck localizer read its snapshots, plus the
+static plan (stage tree, stage costs, node core count).
 """
 from __future__ import annotations
 
@@ -19,9 +20,7 @@ class TaskInfo:
     task_id: str
     node_id: str
     dop: int
-    turn_up_counter: int
     finished: bool
-    hash_build_time_s: float
 
 
 @dataclass
@@ -38,9 +37,12 @@ class StageInfo:
     remaining_bytes: float
     recent_rate_bytes_s: float
     turn_up_counter: int
-    cpu_utilization: float
     build_bytes: float
     shuffle_bound: bool
+    #: a partitioned-join DOP switch is in flight (§4.5).
+    switching: bool
+    #: peak output rate with the current tasks and drivers (§5.3's n_f cap).
+    output_capacity_bytes_s: float
     tasks: list[TaskInfo] = field(default_factory=list)
 
     @property
@@ -77,14 +79,7 @@ class RuntimeInfoCollector:
         for sid, st in ex.states.items():
             remaining, rate = ex.scan_progress(sid)
             tasks = [
-                TaskInfo(
-                    task_id=t.task_id,
-                    node_id=t.node_id,
-                    dop=t.dop,
-                    turn_up_counter=st.in_buf.turn_up_counter,
-                    finished=t.context.finished,
-                    hash_build_time_s=t.context.hash_build_time_s,
-                )
+                TaskInfo(t.task_id, t.node_id, t.dop, t.context.finished)
                 for t in st.stage.tasks
             ]
             info.stages[sid] = StageInfo(
@@ -100,9 +95,10 @@ class RuntimeInfoCollector:
                 remaining_bytes=remaining,
                 recent_rate_bytes_s=rate,
                 turn_up_counter=st.in_buf.turn_up_counter,
-                cpu_utilization=ex.stage_cpu_utilization(sid),
                 build_bytes=st.expected_build,
                 shuffle_bound=st.shuffle_bound_ticks > 0,
+                switching=st.pending_switch is not None,
+                output_capacity_bytes_s=ex.stage_output_capacity_bytes_s(sid),
                 tasks=tasks,
             )
         self.history.append(info)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from repro.core.filter import STAGE, TASK, FilterDecision, TuningRequest, TuningRequestFilter
 from repro.core.predictor import Prediction, WhatIfService, probe_scan_stage
 from repro.engine.exec_sim import SimExecutor, TuningOutcome
+from repro.engine.plan import StageTree, pins_stage
 
 
 @dataclass
@@ -36,13 +37,11 @@ class TuningUnit:
     knob_stage_ids: list[int]
 
 
-def build_tuning_units(executor: SimExecutor) -> list[TuningUnit]:
+def build_tuning_units(tree: StageTree) -> list[TuningUnit]:
     """Decompose the stage tree into DOP tuning units (§5.4)."""
-    tree = executor.query.tree
     units: dict[int, list[int]] = {}
-    final_ids = executor.exe.final_stage_ids()
     for sid in tree.stage_ids():
-        if sid in final_ids:
+        if pins_stage(tree[sid].root):
             continue
         # Intermediate stages are knobs of their progress scan's unit; the
         # scan stage itself is also adjustable (Fig. 25b tunes Q1's S1,
@@ -97,18 +96,19 @@ class AutoTuner:
     _last_check: float = field(default=-1e9, repr=False)
 
     def __post_init__(self) -> None:
-        self.whatif = WhatIfService(self.executor)
         self.filter = TuningRequestFilter(self.executor)
-        self.units = build_tuning_units(self.executor)
+        self.whatif = self.filter.whatif
+        self.units = build_tuning_units(self.executor.query.tree)
 
     # --------------------------------------------------------------- direct
     def direct(self, req: TuningRequest) -> TuningOutcome:
         """Manual adjustment: filter, then dynamic optimizer (Fig. 8)."""
-        st = self.executor.states.get(req.stage_id)
+        info = self.whatif.snapshot()
+        s = info.stages.get(req.stage_id)
         old = 0
-        if st is not None:
-            old = st.stage.task_dop if req.kind == TASK else st.effective_dop()
-        decision = self.filter.check(req)
+        if s is not None:
+            old = s.task_dop if req.kind == TASK else s.dop
+        decision = self.filter.check(req, info)
         if not decision.accepted:
             out = TuningOutcome(False, decision.reason)
         elif req.kind == TASK:
@@ -116,9 +116,7 @@ class AutoTuner:
         else:
             out = self.executor.set_stage_dop(req.stage_id, req.new_dop)
         self.log.append(
-            TuningLogEntry(
-                self.executor.t, req, out.applied, out.reason, out.latency_s, old
-            )
+            TuningLogEntry(info.t, req, out.applied, out.reason, out.latency_s, old)
         )
         return out
 
@@ -128,9 +126,10 @@ class AutoTuner:
     ) -> tuple[Prediction | None, TuningOutcome | None]:
         """Tune a stage's DOP once so its predicted remaining time most
         closely satisfies the latency constraint (§5.4)."""
-        cur = self.executor.states[stage_id].effective_dop()
+        info = self.whatif.snapshot()
+        cur = info[stage_id].dop
         candidates = self.whatif.dop_time_list(
-            stage_id, [d for d in range(1, max_dop + 1) if d != cur]
+            stage_id, [d for d in range(1, max_dop + 1) if d != cur], info
         )
         feasible = [p for p in candidates if p.t_predicted_s <= latency_constraint_s]
         if feasible:
@@ -158,20 +157,23 @@ class AutoTuner:
     def monitor(self, t: float, executor: SimExecutor) -> None:
         """DOP monitor controller — pass into ``SimExecutor.run``.
 
-        Every ``monitor_interval_s``: for each constrained unit, compare
-        the scan's required consumption rate with its recent rate and
-        nudge the knob stage DOP up (AP) or down (RP) accordingly.
+        Every ``monitor_interval_s``, against one runtime snapshot: for
+        each constrained unit, compare the scan's required consumption rate
+        with its recent rate and nudge the knob stage DOP up (AP) or down
+        (RP) accordingly.
         """
         if t - self._last_check < self.monitor_interval_s:
             return
         self._last_check = t
+        info = self.whatif.snapshot()
         for unit in self.units:
             c = self.constraints.get(unit.scan_stage_id)
             if c is None:
                 continue
-            if executor.stage_finished(unit.scan_stage_id):
+            scan = info[unit.scan_stage_id]
+            if scan.finished:
                 continue
-            v_remain, r_now = executor.scan_progress(unit.scan_stage_id)
+            v_remain, r_now = scan.remaining_bytes, scan.recent_rate_bytes_s
             t_left = c.finish_by_s - t
             if v_remain <= 0:
                 continue
@@ -181,12 +183,14 @@ class AutoTuner:
                 required = v_remain / t_left
             if r_now <= 0:
                 continue
-            knob = self._active_knob(unit, executor)
+            # the knob limiting the scan right now: the first unfinished
+            # knob stage consuming the scan's data
+            knob = next((k for k in unit.knob_stage_ids if not info[k].finished), None)
             if knob is None:
                 continue
-            cur = executor.states[knob].effective_dop()
+            cur = info[knob].dop
             if required > r_now * 1.05:
-                factor = min(required / r_now, self.whatif.max_n_f(knob))
+                factor = min(required / r_now, self.whatif.max_n_f(knob, info))
                 target = min(16, max(cur + 1, int(round(cur * factor))))
                 if target != cur:
                     self.direct(TuningRequest(STAGE, knob, target))
@@ -195,11 +199,3 @@ class AutoTuner:
                 target = max(1, int(cur * required / r_now * 1.15))
                 if target < cur:
                     self.direct(TuningRequest(STAGE, knob, target))
-
-    def _active_knob(self, unit: TuningUnit, executor: SimExecutor) -> int | None:
-        """The unit's knob actually limiting the scan right now: the first
-        unfinished knob stage consuming the scan's data."""
-        for sid in unit.knob_stage_ids:
-            if not executor.stage_finished(sid):
-                return sid
-        return None

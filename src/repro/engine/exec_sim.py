@@ -30,6 +30,7 @@ milliseconds.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.cluster import Cluster, RpcModel, calibration as cal
@@ -185,7 +186,6 @@ class _StageState:
     build_received: float = 0.0
     built: bool = True
     build_done_at: float | None = None
-    build_done_times: list[float] = field(default_factory=list)
     #: task_id -> simulated time at which the task may start probing.
     active_from: dict[str, float] = field(default_factory=dict)
     #: partitioned joins: the task group currently serving probes.
@@ -240,7 +240,6 @@ class SimExecutor:
         self.state_transfers: list[StateTransferRecord] = []
         #: every hash-table (re)construction triggered by DOP tuning.
         self.rebuild_log: list[RebuildOp] = []
-        self.rejections: list[str] = []
         self.done = False
         self.total_time_s: float | None = None
         self._sample_every = 1.0
@@ -341,9 +340,6 @@ class SimExecutor:
             if st.build_buf.ended and st.build_buf.drained():
                 st.built = True
                 st.build_done_at = self.t
-                st.build_done_times.append(self.t)
-                for task in st.stage.tasks:
-                    task.context.hash_build_time_s = self.t
                 # §4.5: build side cached for later reconstructions.
                 build_src = self.query.tree[sid].build_source()
                 if build_src is not None:
@@ -420,7 +416,6 @@ class SimExecutor:
                 self.state_transfers.append(op.record())
                 st.pending_switch = None
                 st.pending_old_ids = []
-                st.build_done_times.append(op.done_at)
 
     # ------------------------------------------------------------------ step
     def step(self) -> None:
@@ -530,7 +525,6 @@ class SimExecutor:
             self.rebuild_log.append(op)
             for t in new_tasks:
                 st.active_from[t.task_id] = op.done_at
-            st.build_done_times.append(op.done_at)
             return TuningOutcome(True, latency_s=latency, rebuild=op)
         _, latency = self.sched.remove_tasks(stage_id, cur - n)
         return TuningOutcome(True, latency_s=latency)
@@ -543,31 +537,16 @@ class SimExecutor:
         remaining = st.scan_remaining if st.is_scan else max(0.0, st.expected_in - st.consumed)
         samples = st.cum_consumed_samples
         if len(samples) >= 2:
-            recent = [s for s in samples if s[0] >= self.t - 5.0]
-            if len(recent) >= 2:
-                (t0, c0), (t1, c1) = recent[0], recent[-1]
+            # samples are in time order: the first one inside the window
+            first = bisect_left(samples, (self.t - 5.0,))
+            if len(samples) - first >= 2:
+                (t0, c0), (t1, c1) = samples[first], samples[-1]
             else:
                 (t0, c0), (t1, c1) = samples[-2], samples[-1]
             rate = (c1 - c0) / max(1e-9, t1 - t0)
         else:
             rate = st.consumed / max(1e-9, self.t)
         return remaining, rate
-
-    def stage_finished(self, stage_id: int) -> bool:
-        return self.states[stage_id].ended
-
-    def stage_cpu_utilization(self, stage_id: int) -> float:
-        st = self.states[stage_id]
-        nodes = {t.node_id for t in st.stage.tasks}
-        if not nodes:
-            return 0.0
-        return max(self.cluster.node(nid).cpu_utilization() for nid in nodes)
-
-    def turn_up_counters(self) -> dict[int, int]:
-        return {sid: st.in_buf.turn_up_counter for sid, st in self.states.items()}
-
-    def estimated_build_bytes(self, stage_id: int) -> float:
-        return self.states[stage_id].expected_build
 
     def stage_input_capacity_bytes_s(self, stage_id: int) -> float:
         """What the stage could consume per second with its current tasks
@@ -590,7 +569,3 @@ class SimExecutor:
             n = len(self._probing_tasks(st) or st.stage.tasks)
             cap = min(cap, n * cal.mb_s(st.cost.out_shuffle_rate_mb_s))
         return cap
-
-    def stage_recent_output_rate_bytes_s(self, stage_id: int) -> float:
-        _, rate = self.scan_progress(stage_id)
-        return rate * self.states[stage_id].cost.selectivity

@@ -104,6 +104,25 @@ class RebuildOp:
         )
 
 
+def _phases_s(
+    partitioned: bool, build_bytes: float, new_dop: int, build_rate_mb_s: float,
+    rebuild_shuffle_rate_mb_s: float = cal.REBUILD_SHUFFLE_RATE_MB_S,
+) -> tuple[float, float]:
+    """(reshuffle, build) seconds of a hash-table reconstruction at
+    ``new_dop``. A partitioned join's new task group pulls the cached build
+    side in parallel and then builds its shards in parallel, so both phases
+    scale with ``new_dop`` — exactly the 1/n trend of Table 2. A broadcast
+    join has no reshuffle, and its new tasks each build the full table
+    concurrently ("hash table reconstruction for multiple tasks occurs in
+    parallel", §6.3): one full build, however many tasks are added."""
+    if partitioned:
+        return (
+            build_bytes / (new_dop * cal.mb_s(rebuild_shuffle_rate_mb_s)),
+            build_bytes / (new_dop * cal.mb_s(build_rate_mb_s)),
+        )
+    return 0.0, build_bytes / cal.mb_s(build_rate_mb_s)
+
+
 def plan_partitioned_switch(
     *,
     stage_id: int,
@@ -114,14 +133,10 @@ def plan_partitioned_switch(
     rebuild_shuffle_rate_mb_s: float = cal.REBUILD_SHUFFLE_RATE_MB_S,
     build_rate_mb_s: float = cal.BUILD_RATE_MB_S,
 ) -> RebuildOp:
-    """Time a partitioned-join DOP switch.
-
-    The new task group's ``new_dop`` tasks pull the cached build side in
-    parallel (reshuffle) and then build their shards in parallel, so both
-    phases scale with ``new_dop`` — exactly the 1/n trend of Table 2.
-    """
-    shuffle_t = build_bytes / (new_dop * cal.mb_s(rebuild_shuffle_rate_mb_s))
-    build_t = build_bytes / (new_dop * cal.mb_s(build_rate_mb_s))
+    """Time a partitioned-join DOP switch: reshuffle, then build."""
+    shuffle_t, build_t = _phases_s(
+        True, build_bytes, new_dop, build_rate_mb_s, rebuild_shuffle_rate_mb_s
+    )
     return RebuildOp(
         stage_id=stage_id,
         old_dop=old_dop,
@@ -143,11 +158,8 @@ def plan_broadcast_rebuild(
     now_s: float,
     build_rate_mb_s: float = cal.BUILD_RATE_MB_S,
 ) -> RebuildOp:
-    """Time a broadcast-join DOP increase: every new task rebuilds the full
-    table concurrently ("hash table reconstruction for multiple tasks
-    occurs in parallel", §6.3) — duration is one full build, regardless of
-    how many tasks are added, with no reshuffle phase."""
-    build_t = build_bytes / cal.mb_s(build_rate_mb_s)
+    """Time a broadcast-join DOP increase: one full build, no reshuffle."""
+    _, build_t = _phases_s(False, build_bytes, new_dop, build_rate_mb_s)
     return RebuildOp(
         stage_id=stage_id,
         old_dop=old_dop,
@@ -165,9 +177,9 @@ def estimate_build_time_s(
     rebuild_shuffle_rate_mb_s: float = cal.REBUILD_SHUFFLE_RATE_MB_S,
     build_rate_mb_s: float = cal.BUILD_RATE_MB_S,
 ) -> float:
-    """T_build as used by the tuning filter (§5.2) and predictor (§5.3)."""
-    if partitioned:
-        return build_bytes / (new_dop * cal.mb_s(rebuild_shuffle_rate_mb_s)) + build_bytes / (
-            new_dop * cal.mb_s(build_rate_mb_s)
-        )
-    return build_bytes / cal.mb_s(build_rate_mb_s)
+    """T_build as used by the tuning filter (§5.2) and predictor (§5.3):
+    the reconstruction's reshuffle plus build time."""
+    shuffle_t, build_t = _phases_s(
+        partitioned, build_bytes, new_dop, build_rate_mb_s, rebuild_shuffle_rate_mb_s
+    )
+    return shuffle_t + build_t

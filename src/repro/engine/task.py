@@ -20,8 +20,6 @@ class TaskContext:
     """Runtime counters owned by the task, aggregated stage-/query-level by
     the collector (§5.1, Fig. 18)."""
 
-    #: wall time spent building this task's hash table, if any (§5.2).
-    hash_build_time_s: float = 0.0
     finished: bool = False
 
 

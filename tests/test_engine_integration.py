@@ -7,6 +7,7 @@ drivers as the unit of processing.
 import pytest
 
 from repro.cluster import Cluster
+from repro.core import RuntimeInfoCollector
 from repro.engine.exec_sim import SimExecutor
 from repro.engine.plan import fragment_plan
 from repro.engine.scheduler import DynamicScheduler, schedule_query
@@ -77,9 +78,13 @@ class TestEndPageProtocol:
             for child in q3_sim.query.tree.children_of(sid):
                 assert q3_sim.states[child].end_at <= st.end_at
         # after its end a buffer stops counting starvation
-        counters = q3_sim.turn_up_counters()
+        collector = RuntimeInfoCollector(q3_sim)
+
+        def counters():
+            return {sid: s.turn_up_counter for sid, s in collector.collect().stages.items()}
+        before = counters()
         q3_sim.states[0].in_buf.take(1.0)
-        assert q3_sim.turn_up_counters() == counters
+        assert counters() == before
 
     def test_driver_close_relays_end_through_all_operators(self):
         # §4.3: lowering the driver count closes drivers — their node slots

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.engine import plan as P
-from repro.core import AutoTuner, ScriptExecutor
+from repro.core import AutoTuner, RuntimeInfoCollector, ScriptExecutor
 from repro.engine.exec_sim import ByteElasticBuffer, SimExecutor, SimQuery, StageCost
 from repro.engine.plan import fragment_plan
 from repro.experiments import q2j_switching, q3_intratask
@@ -112,10 +112,10 @@ class TestJoinPhasing:
         # §5.1: the bottleneck stage's buffer never runs empty
         ex = SimExecutor(join_query(probe_rate=20.0, partitioned=False))
         ex.run()
-        counters = ex.turn_up_counters()
+        info = RuntimeInfoCollector(ex).collect()
         # S1 (slow probe) is the bottleneck: a few counts at ramp-up at
         # most; S0 starves continually.
-        assert counters[0] > 10 * max(1, counters[1])
+        assert info[0].turn_up_counter > 10 * max(1, info[1].turn_up_counter)
 
 
 class TestIntraTaskTuning:
@@ -293,9 +293,10 @@ class TestRuntimeQueries:
 
     def test_stage_finished(self):
         ex = SimExecutor(linear_query())
-        assert not ex.stage_finished(1)
+        collector = RuntimeInfoCollector(ex)
+        assert not collector.collect()[1].finished
         ex.run()
-        assert ex.stage_finished(1)
+        assert collector.collect()[1].finished
 
     def test_total_time_includes_init(self):
         ex = SimExecutor(linear_query())

@@ -1,7 +1,7 @@
 """Tests for the DOP tuning request filter (§5.2)."""
 import pytest
 
-from repro.core import STAGE, TASK, TuningRequest, TuningRequestFilter
+from repro.core import RuntimeInfoCollector, STAGE, TASK, TuningRequest, TuningRequestFilter
 from repro.engine.exec_sim import SimExecutor
 from tests.test_exec_sim import join_query, linear_query
 
@@ -23,7 +23,8 @@ class TestFilter:
 
     def test_rejects_finished_stage(self):
         ex = SimExecutor(join_query(partitioned=False))
-        while not ex.stage_finished(3):
+        collector = RuntimeInfoCollector(ex)
+        while not collector.collect()[3].finished:
             ex.step()
         d = TuningRequestFilter(ex).check(TuningRequest(STAGE, 3, 4))
         assert not d.accepted and "finished" in d.reason
@@ -105,3 +106,20 @@ class TestFilter:
         f.check(TuningRequest(STAGE, 0, 4))
         assert len(f.decisions) == 2
         assert len(f.rejections()) == 1
+
+
+class TestBuildEstimate:
+    @pytest.mark.parametrize("new_dop", [2, 3, 8])
+    @pytest.mark.parametrize("partitioned", [False, True], ids=["broadcast", "partitioned"])
+    def test_estimate_matches_executor_rebuild(self, partitioned, new_dop):
+        # one T_build formula: the filter's estimate is the reshuffle + build
+        # time of the reconstruction the executor then starts
+        q = join_query(build_bytes=0.7 * GB, partitioned=partitioned)
+        q.costs[1].build_rate_mb_s = 90.0
+        q.costs[1].rebuild_shuffle_rate_mb_s = 250.0
+        ex = SimExecutor(q)
+        ex.step()
+        estimate = TuningRequestFilter(ex).whatif.build_time_s(1, new_dop)
+        op = ex.set_stage_dop(1, new_dop).rebuild
+        assert op is not None and op.partitioned == partitioned
+        assert estimate == pytest.approx(op.shuffle_time_s + op.build_time_s, rel=1e-12)

@@ -1,6 +1,10 @@
 """Tests for the query-stage-task runtime info tree (§5.1, Fig. 18)."""
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro.core
 from repro.core import RuntimeInfoCollector
 from repro.engine.exec_sim import SimExecutor
 from tests.test_exec_sim import join_query, linear_query
@@ -62,3 +66,38 @@ class TestCollector:
             ex.step()
         info = RuntimeInfoCollector(ex).collect()
         assert info[1].remaining_bytes == pytest.approx(0.7 * GB, rel=0.1)
+
+
+CORE = Path(repro.core.__file__).parent
+#: the executor's runtime queries: ``scan_progress`` and every ``stage_*``
+EXECUTOR_QUERIES = {"scan_progress"} | {
+    name for name in dir(SimExecutor) if name.startswith("stage_")
+}
+
+
+def executor_reads(path: Path) -> list[tuple[int, str]]:
+    """(line, access) for each direct read of executor state in ``path``:
+    the ``states`` table or a call to one of ``EXECUTOR_QUERIES``."""
+    reads = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr == "states":
+            reads.append((node.lineno, ".states"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in EXECUTOR_QUERIES):
+            reads.append((node.lineno, f".{node.func.attr}()"))
+    return reads
+
+
+class TestSingleReadPath:
+    """The collector is the control plane's only read of executor state;
+    everything else in ``repro.core`` reads its snapshots."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in CORE.glob("*.py") if p.name != "runtime_info.py")
+    )
+    def test_module_reads_snapshots_only(self, name):
+        assert executor_reads(CORE / name) == []
+
+    def test_collector_reads_the_executor(self):
+        reads = {access for _, access in executor_reads(CORE / "runtime_info.py")}
+        assert {".states", ".scan_progress()", ".stage_output_capacity_bytes_s()"} <= reads

@@ -34,7 +34,6 @@ class TestTask:
 
     def test_context_defaults(self):
         t = Task(2, 0, "compute0", _scan_fragment())
-        assert t.context.hash_build_time_s == 0.0
         assert not t.context.finished
 
 

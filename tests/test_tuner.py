@@ -14,20 +14,20 @@ class TestTuningUnits:
         # Q3: scan S2 drives knob S1 (and S0's final agg is excluded);
         # scan S4 drives knob S3.
         ex = SimExecutor(QUERIES["Q3"].sim_query())
-        units = {u.scan_stage_id: u.knob_stage_ids for u in build_tuning_units(ex)}
+        units = {u.scan_stage_id: u.knob_stage_ids for u in build_tuning_units(ex.query.tree)}
         assert units[2] == [1, 2]  # intermediate knob first, scan fallback
         assert units[4] == [3, 4]
         assert units[5] == [5]  # customer scan feeds only build sides
 
     def test_q2_units_carry_paper_numbering(self):
         ex = SimExecutor(QUERIES["Q2"].sim_query())
-        units = {u.scan_stage_id: u.knob_stage_ids for u in build_tuning_units(ex)}
+        units = {u.scan_stage_id: u.knob_stage_ids for u in build_tuning_units(ex.query.tree)}
         assert 1 in units[2]       # S2 scan -> S1 knob
         assert units[11] == [10, 11]  # S11 scan -> S10 knob (+ scan fallback)
 
     def test_final_stages_not_knobs(self):
         ex = SimExecutor(QUERIES["Q1"].sim_query())
-        for u in build_tuning_units(ex):
+        for u in build_tuning_units(ex.query.tree):
             assert 0 not in u.knob_stage_ids
 
 
