@@ -3,6 +3,7 @@
 The defining property: changing the shuffle DOP *mid-query* must never
 change the answer — every run is diffed against the DuckDB oracle.
 """
+import pyspark.sql.functions as F
 import pytest
 
 from repro.oracle import assert_equivalent
@@ -74,6 +75,53 @@ class TestHostileInputs:
     def test_query_without_microbatch_form_rejected(self, spark, tables, name):
         with pytest.raises(ValueError, match=name):
             run_microbatch(spark, name, tables, n_batches=2)
+
+    def test_empty_dop_schedule_rejected(self, spark, tables):
+        before = spark.conf.get("spark.sql.shuffle.partitions")
+        with pytest.raises(ValueError, match="dop_schedule"):
+            run_microbatch(spark, "Q2J", tables, n_batches=2, dop_schedule=[])
+        assert spark.conf.get("spark.sql.shuffle.partitions") == before
+
+    def test_missing_tables_rejected(self, spark, tables):
+        with pytest.raises(ValueError, match=r"\['customer', 'orders'\]"):
+            run_microbatch(spark, "Q3", {"lineitem": tables["lineitem"]}, n_batches=2)
+
+
+def _persisted_rdds(spark) -> set[int]:
+    return set(spark.sparkContext._jsc.getPersistentRDDs().keySet())
+
+
+class TestInputsReadOnce:
+    @pytest.mark.parametrize("table,key", [("lineitem", "l_orderkey"), ("orders", "o_orderkey")],
+                             ids=["probe", "build"])
+    def test_each_row_evaluated_once_per_run(self, spark, tables, table, key):
+        # Q2J's probe is lineitem and its build side orders; a run that
+        # rescans an input per batch evaluates its rows n_batches times.
+        seen = spark.sparkContext.accumulator(0)
+
+        def counted(v):
+            seen.add(1)
+            return v
+
+        src = tables[table]
+        wrapped = src.withColumn(key, F.udf(counted, src.schema[key].dataType)(F.col(key)))
+        run = run_microbatch(spark, "Q2J", {**tables, table: wrapped}, n_batches=4)
+        run.result.collect()
+        assert seen.value == src.count()
+
+    def test_no_copies_left_across_runs(self, spark, tables):
+        before = _persisted_rdds(spark)
+        runs = [run_microbatch(spark, "Q2J", tables, n_batches=2) for _ in range(3)]
+        # Only the partials a live result still reads may stay persisted.
+        assert len(_persisted_rdds(spark) - before) <= sum(r.n_batches for r in runs)
+        for r in runs:
+            r.result.collect()
+
+    def test_failed_run_leaves_nothing_persisted(self, spark, tables):
+        before = _persisted_rdds(spark)
+        with pytest.raises(ValueError, match="got 0 for batch 1"):
+            run_microbatch(spark, "Q2J", tables, n_batches=2, dop_schedule=[2, 0])
+        assert _persisted_rdds(spark) - before == set()
 
 
 class TestDopMechanics:
