@@ -28,16 +28,11 @@ class Cluster:
         n_compute: int = 10,
         n_storage: int = 10,
         cores: int = 8,
-        nic_gbps: float = 10.0,
     ) -> "Cluster":
         """The paper's cluster: 1 coordinator + 10 storage + 10 compute."""
-        nodes = [Node("coord", COORDINATOR, cores, nic_gbps)]
-        nodes += [
-            Node(f"storage{i}", STORAGE, cores, nic_gbps) for i in range(n_storage)
-        ]
-        nodes += [
-            Node(f"compute{i}", COMPUTE, cores, nic_gbps) for i in range(n_compute)
-        ]
+        nodes = [Node("coord", COORDINATOR, cores)]
+        nodes += [Node(f"storage{i}", STORAGE, cores) for i in range(n_storage)]
+        nodes += [Node(f"compute{i}", COMPUTE, cores) for i in range(n_compute)]
         return cls(nodes=nodes)
 
     # ---------------------------------------------------------------- lookups

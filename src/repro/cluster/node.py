@@ -31,7 +31,6 @@ class Node:
     node_id: str
     role: str = COMPUTE
     cores: int = 8
-    nic_gbps: float = 10.0
     active_drivers: int = 0
 
     def cpu_scale(self) -> float:
@@ -39,28 +38,6 @@ class Node:
         if self.active_drivers <= self.cores:
             return 1.0
         return self.cores / self.active_drivers
-
-    def cpu_utilization(self) -> float:
-        """Fraction of cores busy (1.0 = saturated)."""
-        if self.cores == 0:
-            return 1.0
-        return min(1.0, self.active_drivers / self.cores)
-
-    def cpu_headroom_factor(self) -> float:
-        """Max factor by which this node's throughput could still grow.
-
-        Used by the predictor (§5.3): "we can use the remaining CPU
-        resources and the current CPU utilization of the upstream stage to
-        estimate a maximum n_f".
-        """
-        util = self.cpu_utilization()
-        if util <= 0.0:
-            return float(self.cores)
-        return 1.0 / util
-
-    def nic_bytes_per_s(self) -> float:
-        """NIC capacity in bytes/second (10 Gbps -> 1.25 GB/s)."""
-        return self.nic_gbps * 1e9 / 8.0
 
     def add_drivers(self, n: int) -> None:
         self.active_drivers += n

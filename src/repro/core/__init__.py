@@ -4,7 +4,14 @@ executor (paper §3 and §5)."""
 from repro.core.bottleneck import computational_bottlenecks, network_bottlenecks
 from repro.core.filter import STAGE, TASK, TuningRequest, TuningRequestFilter
 from repro.core.predictor import Prediction, WhatIfService, probe_scan_stage
-from repro.core.runtime_info import QueryInfo, RuntimeInfoCollector, StageInfo, TaskInfo
+from repro.core.runtime_info import (
+    QueryInfo,
+    RuntimeInfoCollector,
+    StageInfo,
+    TaskInfo,
+    consumed_between,
+    rate_at,
+)
 from repro.core.script import ScriptAction, ScriptExecutor, parse_script
 from repro.core.tuner import AutoTuner, TuningUnit, build_tuning_units
 
@@ -22,6 +29,8 @@ __all__ = [
     "RuntimeInfoCollector",
     "StageInfo",
     "TaskInfo",
+    "consumed_between",
+    "rate_at",
     "ScriptAction",
     "ScriptExecutor",
     "parse_script",

@@ -51,7 +51,6 @@ class TuningRequestFilter:
 
     executor: SimExecutor
     whatif: WhatIfService = field(init=False)
-    decisions: list[tuple[TuningRequest, FilterDecision]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.whatif = WhatIfService(self.executor)
@@ -59,9 +58,7 @@ class TuningRequestFilter:
     def check(self, req: TuningRequest, info: QueryInfo | None = None) -> FilterDecision:
         """Decide ``req`` against the snapshot ``info`` (collected now if
         none is given)."""
-        d = self._check(req, self.whatif.snapshot(info))
-        self.decisions.append((req, d))
-        return d
+        return self._check(req, self.whatif.snapshot(info))
 
     def _check(self, req: TuningRequest, info: QueryInfo) -> FilterDecision:
         if info.done:
@@ -92,6 +89,3 @@ class TuningRequestFilter:
                     f"build time {t_build:.2f}s — tuning would waste resources",
                 )
         return FilterDecision(True)
-
-    def rejections(self) -> list[tuple[TuningRequest, FilterDecision]]:
-        return [(r, d) for r, d in self.decisions if not d.accepted]

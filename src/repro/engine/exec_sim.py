@@ -30,7 +30,6 @@ milliseconds.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.cluster import Cluster, RpcModel, calibration as cal
@@ -175,7 +174,6 @@ class _StageState:
     has_join: bool = False
     partitioned: bool = False
     is_scan: bool = False
-    is_root: bool = False
     scan_remaining: float = 0.0
     in_buf: ByteElasticBuffer = field(default_factory=ByteElasticBuffer)
     build_buf: ByteElasticBuffer | None = None
@@ -192,10 +190,16 @@ class _StageState:
     probing_task_ids: list[str] | None = None
     pending_switch: RebuildOp | None = None
     pending_old_ids: list[str] = field(default_factory=list)
+    #: the parent's buffer this stage pushes into (None at the root), and
+    #: every stage feeding that buffer (the end page waits for all of them).
+    out_buf: ByteElasticBuffer | None = None
+    out_feeders: list[int] = field(default_factory=list)
     ended: bool = False
     end_at: float | None = None
-    window_consumed: float = 0.0
-    shuffle_bound_ticks: int = 0
+    #: the output shuffle capped the stage's progress at least once.
+    shuffle_bound: bool = False
+    #: the stage's progress record: (t, cumulative consumed bytes), one
+    #: sample per second of simulated time.
     cum_consumed_samples: list[tuple[float, float]] = field(default_factory=list)
 
     def effective_dop(self) -> int:
@@ -250,7 +254,6 @@ class SimExecutor:
             frag = query.tree[sid]
             st = _StageState(stage=self.exe.stages[sid], cost=query.costs[sid])
             st.is_scan = frag.is_scan()
-            st.is_root = sid == query.tree.root_id
             st.has_join = frag.has_join()
             joins = frag.root.find(HASH_JOIN)
             if len(joins) > 1:
@@ -267,11 +270,16 @@ class SimExecutor:
                 st.probing_task_ids = [t.task_id for t in st.stage.tasks]
             self.states[sid] = st
         self._topo = query.tree.topological()
-        #: parent edge: child sid -> (parent sid, role)
-        self._parent_edge: dict[int, tuple[int, str]] = {}
-        for sid in query.tree.stage_ids():
-            for src in query.tree[sid].sources:
-                self._parent_edge[src.child_stage_id] = (sid, src.role)
+        for sid, pst in self.states.items():
+            for build in (False, True):
+                feeders = [
+                    s.child_stage_id
+                    for s in query.tree[sid].sources
+                    if (s.role == "build") == build
+                ]
+                for child in feeders:
+                    self.states[child].out_buf = pst.build_buf if build else pst.in_buf
+                    self.states[child].out_feeders = feeders
 
     # ------------------------------------------------------------------ flow
     def _cpu_scale(self, node_id: str) -> float:
@@ -288,43 +296,21 @@ class SimExecutor:
             if st.active_from.get(t.task_id, 0.0) <= self.t
         ]
 
-    def _capacity_bytes(self, st: _StageState) -> float:
-        """Input-processing capacity of this stage for one tick."""
-        if st.has_join and not st.built:
-            return 0.0
+    def _input_bytes_s(self, st: _StageState, tasks) -> float:
+        """Bytes/s ``tasks`` of this stage consume at their CPU share."""
         rate = cal.mb_s(st.cost.per_driver_rate_mb_s)
         if st.cost.per_task_rate:
-            return len(self._probing_tasks(st)) * rate * self.dt
+            return len(tasks) * rate
         total = 0.0
-        for task in self._probing_tasks(st):
+        for task in tasks:
             total += task.dop * self._cpu_scale(task.node_id) * rate
-        return total * self.dt
+        return total
 
-    def _out_cap_bytes(self, st: _StageState) -> float:
+    def _shuffle_bytes_s(self, st: _StageState, tasks) -> float:
+        """Bytes/s ``tasks`` can ship downstream (per-task shuffle cap)."""
         if st.cost.out_shuffle_rate_mb_s is None:
             return float("inf")
-        n = len(self._probing_tasks(st))
-        return n * cal.mb_s(st.cost.out_shuffle_rate_mb_s) * self.dt
-
-    def _push_downstream(self, sid: int, st: _StageState, nbytes: float) -> None:
-        edge = self._parent_edge.get(sid)
-        if edge is None:
-            return
-        psid, role = edge
-        pst = self.states[psid]
-        buf = pst.build_buf if role == "build" else pst.in_buf
-        assert buf is not None
-        buf.push(nbytes)
-
-    def _downstream_free(self, sid: int) -> float:
-        edge = self._parent_edge.get(sid)
-        if edge is None:
-            return float("inf")
-        psid, role = edge
-        pst = self.states[psid]
-        buf = pst.build_buf if role == "build" else pst.in_buf
-        assert buf is not None
-        return buf.free()
+        return len(tasks) * cal.mb_s(st.cost.out_shuffle_rate_mb_s)
 
     def _step_stage(self, sid: int) -> None:
         st = self.states[sid]
@@ -345,13 +331,16 @@ class SimExecutor:
                 if build_src is not None:
                     self.cache.put(build_src.child_stage_id, st.build_received)
         # ---- main (probe) flow -------------------------------------------
-        capacity = self._capacity_bytes(st)
+        tasks = self._probing_tasks(st)
+        capacity = 0.0
+        if st.built:
+            capacity = self._input_bytes_s(st, tasks) * self.dt
         sel = st.cost.selectivity
         limit = capacity
-        free = self._downstream_free(sid)
+        free = float("inf") if st.out_buf is None else st.out_buf.free()
         if sel > 0 and free < float("inf"):
             limit = min(limit, free / sel)
-        out_cap = self._out_cap_bytes(st)
+        out_cap = self._shuffle_bytes_s(st, tasks) * self.dt
         shuffle_bound = False
         if sel > 0 and out_cap < float("inf"):
             if out_cap / sel < limit:
@@ -363,12 +352,12 @@ class SimExecutor:
         else:
             got = st.in_buf.take(limit)
         if shuffle_bound and got > 0:
-            st.shuffle_bound_ticks += 1
+            st.shuffle_bound = True
         st.consumed += got
-        st.window_consumed += got
         out = got * sel
         st.produced += out
-        self._push_downstream(sid, st, out)
+        if st.out_buf is not None:
+            st.out_buf.push(out)
         # ---- end detection ------------------------------------------------
         input_done = (
             (st.scan_remaining <= _EPS)
@@ -382,27 +371,12 @@ class SimExecutor:
             # the filter should have rejected it (§5.2); drop it.
             st.pending_switch = None
             st.pending_old_ids = []
-            self._mark_edge_ended(sid)
+            # Propagate end pages upward: the parent's buffer ends once
+            # every stage feeding it has ended.
+            if st.out_buf is not None and all(self.states[s].ended for s in st.out_feeders):
+                st.out_buf.ended = True
             for task in st.stage.tasks:
                 task.context.finished = True
-
-    def _mark_edge_ended(self, sid: int) -> None:
-        """Propagate end pages upward: the parent's buffer for this edge is
-        marked ended once every sibling feeding the same buffer has ended."""
-        edge = self._parent_edge.get(sid)
-        if edge is None:
-            return
-        psid, role = edge
-        pst = self.states[psid]
-        siblings = [
-            s.child_stage_id
-            for s in self.query.tree[psid].sources
-            if (s.role == "build") == (role == "build")
-        ]
-        if all(self.states[s].ended for s in siblings):
-            buf = pst.build_buf if role == "build" else pst.in_buf
-            assert buf is not None
-            buf.ended = True
 
     def _process_pending(self) -> None:
         for sid, st in self.states.items():
@@ -430,11 +404,8 @@ class SimExecutor:
             if st.build_buf is not None:
                 st.build_buf.tick(self.t)
         if self.t - self._last_sample >= self._sample_every:
-            span = self.t - self._last_sample
-            for sid, st in self.states.items():
-                st.stage.throughput.record(self.t, st.window_consumed / span)
+            for st in self.states.values():
                 st.cum_consumed_samples.append((self.t, st.consumed))
-                st.window_consumed = 0.0
             self._last_sample = self.t
         root = self.states[self.query.tree.root_id]
         if root.ended:
@@ -530,42 +501,15 @@ class SimExecutor:
         return TuningOutcome(True, latency_s=latency)
 
     # ------------------------------------------------------- runtime queries
-    def scan_progress(self, stage_id: int) -> tuple[float, float]:
-        """(V_remain bytes, R_consume bytes/s over ~5 s) for a scan stage —
-        the §5.2 progress signal."""
-        st = self.states[stage_id]
-        remaining = st.scan_remaining if st.is_scan else max(0.0, st.expected_in - st.consumed)
-        samples = st.cum_consumed_samples
-        if len(samples) >= 2:
-            # samples are in time order: the first one inside the window
-            first = bisect_left(samples, (self.t - 5.0,))
-            if len(samples) - first >= 2:
-                (t0, c0), (t1, c1) = samples[first], samples[-1]
-            else:
-                (t0, c0), (t1, c1) = samples[-2], samples[-1]
-            rate = (c1 - c0) / max(1e-9, t1 - t0)
-        else:
-            rate = st.consumed / max(1e-9, self.t)
-        return remaining, rate
-
     def stage_input_capacity_bytes_s(self, stage_id: int) -> float:
         """What the stage could consume per second with its current tasks
         and drivers at full CPU speed — the peak the probe side can reach
         without adding upstream resources (§5.3's n_f bound)."""
         st = self.states[stage_id]
-        rate = cal.mb_s(st.cost.per_driver_rate_mb_s)
-        if st.cost.per_task_rate:
-            return len(self._probing_tasks(st) or st.stage.tasks) * rate
-        tasks = self._probing_tasks(st) or st.stage.tasks
-        total = 0.0
-        for task in tasks:
-            total += task.dop * self._cpu_scale(task.node_id) * rate
-        return total
+        return self._input_bytes_s(st, self._probing_tasks(st) or st.stage.tasks)
 
     def stage_output_capacity_bytes_s(self, stage_id: int) -> float:
         st = self.states[stage_id]
-        cap = self.stage_input_capacity_bytes_s(stage_id) * st.cost.selectivity
-        if st.cost.out_shuffle_rate_mb_s is not None:
-            n = len(self._probing_tasks(st) or st.stage.tasks)
-            cap = min(cap, n * cal.mb_s(st.cost.out_shuffle_rate_mb_s))
-        return cap
+        tasks = self._probing_tasks(st) or st.stage.tasks
+        cap = self._input_bytes_s(st, tasks) * st.cost.selectivity
+        return min(cap, self._shuffle_bytes_s(st, tasks))

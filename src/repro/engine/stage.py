@@ -1,8 +1,7 @@
-"""Stages — fragments scheduled as task sets, with throughput accounting.
+"""Stages — fragments scheduled as task sets.
 
 A stage's DOP is its task count (§2); intra-task DOP is the per-task
-driver count. The stage records a throughput time series — the quantity
-every §6 figure plots.
+driver count.
 """
 from __future__ import annotations
 
@@ -13,40 +12,12 @@ from repro.engine.task import Task
 
 
 @dataclass
-class ThroughputSeries:
-    """(t, bytes/s) samples for one stage."""
-
-    times: list[float] = field(default_factory=list)
-    rates: list[float] = field(default_factory=list)
-
-    def record(self, t: float, rate: float) -> None:
-        self.times.append(t)
-        self.rates.append(rate)
-
-    def mean(self) -> float:
-        return sum(self.rates) / len(self.rates) if self.rates else 0.0
-
-    def max(self) -> float:
-        return max(self.rates, default=0.0)
-
-    def at(self, t: float) -> float:
-        """Rate at the latest sample <= t (0.0 before the first sample)."""
-        rate = 0.0
-        for ts, r in zip(self.times, self.rates):
-            if ts > t:
-                break
-            rate = r
-        return rate
-
-
-@dataclass
 class Stage:
     """One execution stage: a fragment plus its scheduled tasks."""
 
     stage_id: int
     fragment: Fragment
     tasks: list[Task] = field(default_factory=list)
-    throughput: ThroughputSeries = field(default_factory=ThroughputSeries)
     _next_seq: int = 0
 
     @property

@@ -16,7 +16,7 @@ when ahead of schedule.
 """
 from __future__ import annotations
 
-from repro.core import AutoTuner, ScriptExecutor
+from repro.core import AutoTuner, RuntimeInfoCollector, ScriptExecutor
 from repro.engine.exec_sim import SimExecutor
 from repro.queries.tpch import QUERIES
 
@@ -47,13 +47,14 @@ def run_q2() -> dict:
     tuner.set_constraint(11, PAPER["q2"]["deadline_s11_s"])
     tuner.set_constraint(2, PAPER["q2"]["deadline_s2_s"])
     total = ex.run(controllers=[tuner.monitor])
+    info = RuntimeInfoCollector(ex).collect()
     reductions = [e for e in tuner.log if e.is_reduction]
     return {
         "total_s": total,
         "target_s": PAPER["q2"]["target_s"],
         "met": total <= PAPER["q2"]["target_s"] * 1.1,
-        "scan_end_s11_s": ex.states[11].end_at,
-        "scan_end_s2_s": ex.states[2].end_at,
+        "scan_end_s11_s": info[11].end_at,
+        "scan_end_s2_s": info[2].end_at,
         "adjustments": _log_rows(tuner),
         "rp_latency_avg_s": (
             sum(e.latency_s for e in reductions) / len(reductions)
@@ -74,7 +75,7 @@ def run_q3() -> dict:
     )
     total = ex.run(controllers=[script.controller(tuner), tuner.monitor])
     new_deadline = PAPER["q3"]["new_constraint_at_s"] + PAPER["q3"]["new_constraint_window_s"]
-    s1_end = ex.states[1].end_at
+    s1_end = RuntimeInfoCollector(ex).collect()[1].end_at
     return {
         "total_s": total,
         "target_s": PAPER["q3"]["target_s"],

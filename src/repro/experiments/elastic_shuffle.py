@@ -17,7 +17,7 @@ computational bottleneck.
 """
 from __future__ import annotations
 
-from repro.core import AutoTuner, RuntimeInfoCollector, ScriptExecutor
+from repro.core import AutoTuner, RuntimeInfoCollector, ScriptExecutor, rate_at
 from repro.core.bottleneck import computational_bottlenecks, network_bottlenecks
 from repro.engine.exec_sim import SimExecutor
 from repro.experiments.report import reduction_pct
@@ -73,8 +73,8 @@ def run() -> dict:
             "late_computational": computational_bottlenecks(snapshots[-2], snapshots[-1]),
         }
     # Throughput of the join (S1) at each shuffle-stage DOP step.
-    s1 = ex.states[1].stage.throughput
-    steps = {d: s1.at(t) / 1e6 for d, t in ((1, 2.5), (2, 5.5), (3, 8.5), (4, 11.5), (5, 16.0))}
+    s1 = collector.collect()[1]
+    steps = {d: rate_at(s1, t) / 1e6 for d, t in ((1, 2.5), (2, 5.5), (3, 8.5), (4, 11.5), (5, 16.0))}
 
     applied = [e for e in tuner.log if e.accepted]
     return {

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core import AutoTuner, TuningRequest, WhatIfService
+from repro.core import AutoTuner, RuntimeInfoCollector, TuningRequest, WhatIfService
 from repro.core.filter import STAGE
 from repro.engine.exec_sim import SimExecutor
 from repro.queries.tpch import QUERIES
@@ -57,8 +57,9 @@ def run() -> dict:
     tuner = AutoTuner(ex)
     ctrl = _PredicterCtrl(tuner, tuner.whatif, pending=sorted(ADJUSTMENTS))
     total = ex.run(controllers=[ctrl])
+    info = RuntimeInfoCollector(ex).collect()
     for rec in ctrl.records:
-        rec["actual_end_s"] = ex.states[rec["stage"]].end_at
+        rec["actual_end_s"] = info[rec["stage"]].end_at
         if rec["actual_end_s"] is not None:
             rec["abs_error_s"] = abs(rec["actual_end_s"] - rec["predicted_end_s"])
     return {"paper": PAPER, "total_s": total, "predictions": ctrl.records}

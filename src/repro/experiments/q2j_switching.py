@@ -17,7 +17,7 @@ Paper Table 2:  2->4: total 42.67, shuffle 12.55, build 30.12
 """
 from __future__ import annotations
 
-from repro.core import AutoTuner, ScriptExecutor
+from repro.core import AutoTuner, RuntimeInfoCollector, ScriptExecutor, consumed_between
 from repro.engine.exec_sim import SimExecutor
 from repro.experiments.report import reduction_pct
 from repro.queries.tpch import QUERIES
@@ -50,21 +50,23 @@ def run() -> dict:
     ex = SimExecutor(qdef.sim_query(), stage_dop=2, task_dop=1)
     tuner = AutoTuner(ex)
     script = ScriptExecutor.from_text(SCRIPT)
-    # Track whether probing ever pauses during a rebuild (Fig. 26: it must
-    # not): sample stage-1 consumption around each switch.
     tuned = ex.run(controllers=[script.controller(tuner)])
+    info = RuntimeInfoCollector(ex).collect()
 
     applied = [e for e in tuner.log if e.accepted]
     latencies = [e.latency_s for e in applied]
-    # Probe continuity: between each switch request and its completion the
-    # join stage kept consuming bytes (old task group still serving).
-    continuity = []
-    for op in ex.rebuild_log:
-        st = ex.states[op.stage_id]
-        consumed_during = _consumed_between(st, op.started_at, op.done_at)
-        continuity.append(
-            {"switch": f"{op.old_dop} -> {op.new_dop}", "bytes_during_rebuild": consumed_during}
-        )
+    # Probe continuity (Fig. 26): between each switch request and its
+    # completion the join stage kept consuming bytes (old task group still
+    # serving).
+    continuity = [
+        {
+            "switch": f"{op.old_dop} -> {op.new_dop}",
+            "bytes_during_rebuild": consumed_between(
+                info[op.stage_id], op.started_at, op.done_at
+            ),
+        }
+        for op in ex.rebuild_log
+    ]
 
     return {
         "paper": PAPER,
@@ -78,15 +80,3 @@ def run() -> dict:
         "probe_continuity": continuity,
     }
 
-
-def _consumed_between(st, t0: float, t1: float) -> float:
-    samples = st.cum_consumed_samples
-    c0 = c1 = None
-    for t, c in samples:
-        if t <= t0:
-            c0 = c
-        if t <= t1:
-            c1 = c
-    if c0 is None or c1 is None:
-        return 0.0
-    return c1 - c0

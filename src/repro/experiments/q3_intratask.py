@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core import AutoTuner, ScriptExecutor
+from repro.core import AutoTuner, RuntimeInfoCollector, ScriptExecutor, rate_at
 from repro.engine.exec_sim import SimExecutor
 from repro.experiments.report import reduction_pct
 from repro.queries.tpch import QUERIES
@@ -42,10 +42,6 @@ AC S1,4,8 @ 280
 """
 
 
-def _throughput_at(ex: SimExecutor, sid: int, t: float) -> float:
-    return ex.states[sid].stage.throughput.at(t)
-
-
 def measure_driver_generation_ms() -> float:
     """Wall time to spawn one driver in a task (intra-task DOP +1) — the
     paper reports < 1 ms for task/driver generation. Timed on a throwaway
@@ -68,8 +64,9 @@ def run() -> dict:
 
     # Third stage-1 adjustment (4 -> 8 @ 280 s) should not raise throughput:
     # compare stage-1 throughput just before it with steady state after.
-    thr_before = _throughput_at(ex, 1, 278.0)
-    thr_after = _throughput_at(ex, 1, 300.0)
+    s1 = RuntimeInfoCollector(ex).collect()[1]
+    thr_before = rate_at(s1, 278.0)
+    thr_after = rate_at(s1, 300.0)
 
     # Fig. 22 sweeps.
     intra_task = {}

@@ -23,24 +23,6 @@ class TestNode:
         n.add_drivers(16)
         assert n.cpu_scale() == pytest.approx(0.5)
 
-    def test_cpu_utilization_saturates_at_one(self):
-        n = Node("n0", cores=8)
-        n.add_drivers(20)
-        assert n.cpu_utilization() == 1.0
-
-    def test_cpu_headroom(self):
-        n = Node("n0", cores=8)
-        n.add_drivers(2)
-        assert n.cpu_headroom_factor() == pytest.approx(4.0)
-
-    def test_cpu_headroom_idle(self):
-        n = Node("n0", cores=8)
-        assert n.cpu_headroom_factor() == 8.0
-
-    def test_nic_bytes_per_s(self):
-        n = Node("n0", nic_gbps=10.0)
-        assert n.nic_bytes_per_s() == pytest.approx(1.25e9)
-
     def test_remove_drivers_floors_at_zero(self):
         n = Node("n0")
         n.add_drivers(2)
@@ -61,7 +43,6 @@ class TestCluster:
         c = Cluster.presto_testbed()
         for n in c.nodes:
             assert n.cores == 8
-            assert n.nic_gbps == 10.0
 
     def test_round_robin_placement(self):
         c = Cluster.presto_testbed()

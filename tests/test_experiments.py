@@ -5,8 +5,11 @@ Paper-vs-measured numbers are recorded in EXPERIMENTS.md; these tests pin
 the qualitative claims so a regression in any mechanism (scheduler,
 buffers, DOP switching, filter, predictor, tuner) breaks loudly.
 """
+import json
+
 import pytest
 
+from perfbench import sim_paper
 from repro.experiments import (
     autotune,
     elastic_shuffle,
@@ -52,6 +55,8 @@ class TestTable1:
     def test_partitioning_schemes_match_paper(self):
         res = table1.run(sf=0.002)
         schemes = {r["table"]: (r["partitioning"], r["n_splits"]) for r in res["rows"]}
+        assert len(res["rows"]) == len(schemes) == 8
+        assert res["measured_total_bytes"] > 0
         assert schemes["Lineitem"] == ("10 nodes, 7 splits/node", 70)
         assert schemes["Nation"] == ("1 node, 1 split/node", 1)
         assert schemes["Orders"][1] == 10
@@ -229,3 +234,24 @@ class TestE6AutoTune:
         late_aps = [a for a in e6["q3"]["adjustments"]
                     if a["t"] >= 150.0 and a["action"].startswith("AP S1")]
         assert late_aps
+
+
+class TestPaperNumbers:
+    def test_fingerprint_matches_reference(self, e1, e2, e3, e4, e5, e6):
+        # the E1–E6/T2 numbers the benchmark pins, without a benchmark run
+        fp = {}
+        for exp, res in zip(("E1", "E2", "E3", "E4", "E5", "E6"), (e1, e2, e3, e4, e5, e6)):
+            fp.update(sim_paper.fingerprint(exp, res))
+        ref = json.loads(sim_paper.REFERENCE.read_text())
+        drifted = {k: (fp.get(k), ref.get(k)) for k in set(fp) | set(ref) if fp.get(k) != ref.get(k)}
+        assert sim_paper.reference_drift(fp) == 0, drifted
+
+    def test_rates_match_interval_sums(self, e1, e4):
+        # Reference rates from summing each stage's consumption over every
+        # 1 s sample interval; rate_at derives them from the cumulative
+        # samples instead, which may differ only by rounding.
+        assert e1["saturation_thr_before_mb_s"] == pytest.approx(199.99999999995453, rel=1e-9)
+        assert e1["saturation_thr_after_mb_s"] == pytest.approx(199.99999999995453, rel=1e-9)
+        want = {1: 0.0, 2: 277.7454545454555, 3: 549.0000000000019,
+                4: 550.0000000000019, 5: 550.0000000000019}
+        assert e4["s1_throughput_by_shuffle_dop_mb_s"] == pytest.approx(want, rel=1e-9)

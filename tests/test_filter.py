@@ -1,7 +1,14 @@
 """Tests for the DOP tuning request filter (§5.2)."""
 import pytest
 
-from repro.core import RuntimeInfoCollector, STAGE, TASK, TuningRequest, TuningRequestFilter
+from repro.core import (
+    STAGE,
+    TASK,
+    AutoTuner,
+    RuntimeInfoCollector,
+    TuningRequest,
+    TuningRequestFilter,
+)
 from repro.engine.exec_sim import SimExecutor
 from tests.test_exec_sim import join_query, linear_query
 
@@ -99,13 +106,14 @@ class TestFilter:
         assert TuningRequestFilter(ex).check(TuningRequest(TASK, 1, 4)).accepted
 
     def test_decisions_recorded(self):
+        # the tuner's log is the record of every filter decision
         ex = SimExecutor(linear_query())
         ex.step()
-        f = TuningRequestFilter(ex)
-        f.check(TuningRequest(STAGE, 1, 4))
-        f.check(TuningRequest(STAGE, 0, 4))
-        assert len(f.decisions) == 2
-        assert len(f.rejections()) == 1
+        tuner = AutoTuner(ex)
+        tuner.direct(TuningRequest(STAGE, 1, 4))
+        tuner.direct(TuningRequest(STAGE, 0, 4))
+        assert [e.accepted for e in tuner.log] == [True, False]
+        assert "final aggregation" in tuner.log[1].reason
 
 
 class TestBuildEstimate:

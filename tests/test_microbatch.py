@@ -22,11 +22,15 @@ def tables(spark):
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("name", MICROBATCH)
-    def test_matches_oracle_with_dop_changes(self, spark, tables, name):
+    @pytest.mark.parametrize(
+        "name,schedule",
+        [pytest.param(q, [2, 16, 4], id=q) for q in MICROBATCH]
+        + [pytest.param("Q1", [4, 16, 8], id="Q1-4-16-8")],
+    )
+    def test_matches_oracle_with_dop_changes(self, spark, tables, name, schedule):
         qdef = QUERIES[name]
         sub = {t: tables[t] for t in qdef.tables}
-        run = run_microbatch(spark, name, tables, n_batches=3, dop_schedule=[2, 16, 4])
+        run = run_microbatch(spark, name, tables, n_batches=3, dop_schedule=schedule)
         assert_equivalent(run.result, qdef.duckdb_sql, **sub)
 
     def test_matches_single_shot(self, spark, tables):

@@ -48,8 +48,10 @@ class TestRemainingTime:
             ex.step()
         w = WhatIfService(ex)
         # S1's remaining time comes from S2's scan progress
-        v_remain, r = ex.scan_progress(2)
-        assert w.remaining_time_s(1) == pytest.approx(v_remain / r, rel=1e-6)
+        s2 = w.snapshot()[2]
+        assert w.remaining_time_s(1) == pytest.approx(
+            s2.remaining_bytes / s2.recent_rate_bytes_s, rel=1e-6
+        )
 
     def test_huge_when_barely_consuming(self):
         # during the build phase the probe scan only fills its (one page)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import repro.core
+import repro.experiments
 from repro.core import RuntimeInfoCollector
 from repro.engine.exec_sim import SimExecutor
 from tests.test_exec_sim import join_query, linear_query
@@ -45,15 +46,19 @@ class TestCollector:
         assert all(s.finished for s in info.stages.values())
         assert all(t.finished for s in info.stages.values() for t in s.tasks)
 
-    def test_history_accumulates(self):
-        ex = SimExecutor(linear_query())
+    def test_snapshot_unchanged_by_later_steps(self):
+        ex = SimExecutor(join_query(partitioned=False))
         c = RuntimeInfoCollector(ex)
-        c.collect()
-        for _ in range(10):
+        for _ in range(40):
             ex.step()
-        c.collect()
-        assert len(c.history) == 2
-        assert c.history[1].t > c.history[0].t
+        info = c.collect()
+        before = repr(info)
+        assert info[1].samples and info[1].end_at is None
+        ex.run()
+        assert repr(info) == before
+        later = c.collect()
+        assert later.t > info.t and len(later[1].samples) > len(info[1].samples)
+        assert later[1].end_at is not None
 
     def test_build_bytes_exposed(self):
         ex = SimExecutor(join_query(build_bytes=0.5 * GB, partitioned=True))
@@ -69,10 +74,9 @@ class TestCollector:
 
 
 CORE = Path(repro.core.__file__).parent
-#: the executor's runtime queries: ``scan_progress`` and every ``stage_*``
-EXECUTOR_QUERIES = {"scan_progress"} | {
-    name for name in dir(SimExecutor) if name.startswith("stage_")
-}
+EXPERIMENTS = Path(repro.experiments.__file__).parent
+#: the executor's runtime queries: every ``stage_*``
+EXECUTOR_QUERIES = {name for name in dir(SimExecutor) if name.startswith("stage_")}
 
 
 def executor_reads(path: Path) -> list[tuple[int, str]]:
@@ -89,8 +93,8 @@ def executor_reads(path: Path) -> list[tuple[int, str]]:
 
 
 class TestSingleReadPath:
-    """The collector is the control plane's only read of executor state;
-    everything else in ``repro.core`` reads its snapshots."""
+    """The collector is the only read of executor state; everything else in
+    ``repro.core`` and ``repro.experiments`` reads its snapshots."""
 
     @pytest.mark.parametrize(
         "name", sorted(p.name for p in CORE.glob("*.py") if p.name != "runtime_info.py")
@@ -98,6 +102,10 @@ class TestSingleReadPath:
     def test_module_reads_snapshots_only(self, name):
         assert executor_reads(CORE / name) == []
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in EXPERIMENTS.glob("*.py")))
+    def test_experiment_reads_snapshots_only(self, name):
+        assert executor_reads(EXPERIMENTS / name) == []
+
     def test_collector_reads_the_executor(self):
         reads = {access for _, access in executor_reads(CORE / "runtime_info.py")}
-        assert {".states", ".scan_progress()", ".stage_output_capacity_bytes_s()"} <= reads
+        assert {".states", ".stage_output_capacity_bytes_s()"} <= reads

@@ -1,10 +1,15 @@
 """Tests for tasks and stages (repro.engine.task / stage)."""
+from dataclasses import replace
+
 import pytest
 
+from repro.core import RuntimeInfoCollector, consumed_between, rate_at
 from repro.engine import plan as P
+from repro.engine.exec_sim import SimExecutor
 from repro.engine.splits import RemoteSplit
-from repro.engine.stage import Stage, ThroughputSeries
+from repro.engine.stage import Stage
 from repro.engine.task import Task
+from tests.test_exec_sim import linear_query
 
 
 def _scan_fragment(sid=2):
@@ -72,23 +77,34 @@ class TestStage:
         assert s.dop == 0 and s.task_dop == 0
 
 
+
 class TestThroughputSeries:
+    """A stage's progress series, ``(t, cumulative bytes)`` samples in a
+    snapshot, read through ``rate_at`` and ``consumed_between``."""
+
+    @staticmethod
+    def _stage(*samples):
+        s = RuntimeInfoCollector(SimExecutor(linear_query())).collect()[1]
+        return replace(s, samples=samples)
+
     def test_record_and_stats(self):
-        ts = ThroughputSeries()
-        ts.record(1.0, 100.0)
-        ts.record(2.0, 300.0)
-        assert ts.mean() == 200.0
-        assert ts.max() == 300.0
+        s = self._stage((1.0, 100.0), (2.0, 400.0))
+        assert [rate_at(s, t) for t, _ in s.samples] == [100.0, 300.0]
 
     def test_at_returns_latest_sample(self):
-        ts = ThroughputSeries()
-        ts.record(1.0, 100.0)
-        ts.record(5.0, 500.0)
-        assert ts.at(0.5) == 0.0
-        assert ts.at(1.0) == 100.0
-        assert ts.at(4.9) == 100.0
-        assert ts.at(100.0) == 500.0
+        s = self._stage((1.0, 100.0), (5.0, 2100.0))
+        assert rate_at(s, 0.5) == 0.0
+        assert rate_at(s, 1.0) == 100.0  # the first interval starts at (0, 0)
+        assert rate_at(s, 4.9) == 100.0
+        assert rate_at(s, 100.0) == 500.0
+
+    def test_consumed_between(self):
+        s = self._stage((1.0, 100.0), (5.0, 2100.0))
+        assert consumed_between(s, 0.5, 5.0) == 0.0  # no sample that early
+        assert consumed_between(s, 1.0, 4.9) == 0.0
+        assert consumed_between(s, 1.0, 5.0) == 2000.0
+        assert consumed_between(s, 2.0, 100.0) == 2000.0
 
     def test_empty_series(self):
-        ts = ThroughputSeries()
-        assert ts.mean() == 0.0 and ts.max() == 0.0 and ts.at(1.0) == 0.0
+        s = self._stage()
+        assert rate_at(s, 1.0) == 0.0 and consumed_between(s, 0.0, 1.0) == 0.0
