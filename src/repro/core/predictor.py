@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.core.runtime_info import QueryInfo, RuntimeInfoCollector
 from repro.engine.exec_sim import SimExecutor
-from repro.engine.hashjoin import estimate_build_time_s
+from repro.engine.hashjoin import rebuild_phases_s
 from repro.engine.plan import StageTree
 
 
@@ -88,14 +88,7 @@ class WhatIfService:
         s = self.snapshot(info)[stage_id]
         if not s.has_join:
             return 0.0
-        cost = self.executor.query.costs[stage_id]
-        return estimate_build_time_s(
-            partitioned=s.partitioned,
-            build_bytes=s.build_bytes,
-            new_dop=new_dop,
-            rebuild_shuffle_rate_mb_s=cost.rebuild_shuffle_rate_mb_s,
-            build_rate_mb_s=cost.build_rate_mb_s,
-        )
+        return sum(rebuild_phases_s(s.partitioned, s.build_bytes, new_dop))
 
     def max_n_f(self, stage_id: int, info: QueryInfo | None = None) -> float:
         """Cap on the speedup factor from the upstream stage's headroom

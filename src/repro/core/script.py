@@ -12,7 +12,7 @@ Actions use the paper's own notation:
 * ``AP Sn,a,b @ t`` — add stage parallelism from a to b (Fig. 25/26);
 * ``RP Sn,a,b @ t`` — reduce stage parallelism from a to b (Fig. 30);
 * ``CONSTRAINT Sn,d @ t`` — hand the auto-tuner a new deadline of d
-  seconds (from t) for stage n's unit (§6.5.2's mid-query constraint).
+  whole seconds (from t) for stage n's unit (§6.5.2's mid-query constraint).
 
 Every action is routed through the auto-tuner's direct interface, so the
 request filter applies — scripted requests can be rejected exactly like
@@ -35,7 +35,7 @@ CONSTRAINT = "CONSTRAINT"
 _LINE = re.compile(
     r"^\s*(AC|AP|RP)\s+S(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*@\s*([0-9.]+)\s*$"
 )
-_CLINE = re.compile(r"^\s*CONSTRAINT\s+S(\d+)\s*,\s*([0-9.]+)\s*@\s*([0-9.]+)\s*$")
+_CLINE = re.compile(r"^\s*CONSTRAINT\s+S(\d+)\s*,\s*(\d+)\s*@\s*([0-9.]+)\s*$")
 
 
 @dataclass
@@ -70,9 +70,7 @@ def parse_script(text: str) -> list[ScriptAction]:
         m = _CLINE.match(line)
         if m:
             sid, d, t = m.groups()
-            actions.append(
-                ScriptAction(float(t), CONSTRAINT, int(sid), 0, int(float(d)))
-            )
+            actions.append(ScriptAction(float(t), CONSTRAINT, int(sid), 0, int(d)))
             continue
         raise ValueError(f"unparseable script line: {raw!r}")
     return sorted(actions, key=lambda a: a.t)

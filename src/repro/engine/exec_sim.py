@@ -11,13 +11,13 @@ the paper's evaluation depends on:
 * per-driver processing rates with CPU time-slicing on nodes (the §6.2
   saturation plateau) and per-task shuffle-executor caps (§6.4.2);
 * join build/probe phasing: probe waits for hash-table construction
-  (execution dependency), build-side output is retained in the
-  intermediate data cache (§4.5);
+  (execution dependency);
 * runtime DOP changes through the dynamic scheduler: driver changes take
-  effect immediately; broadcast-join stage growth activates new tasks
-  after a parallel full rebuild; partitioned-join stage changes perform
-  DOP switching via a new task group (reshuffle + build, Table 2) while
-  the old group keeps probing (Fig. 26).
+  effect immediately; a join-stage change is one :class:`RebuildOp` whose
+  new tasks probe from its ``done_at`` — broadcast-join growth adds tasks
+  after a parallel full rebuild, and partitioned-join DOP switching builds
+  a new task group (reshuffle of the cached build side + build, Table 2)
+  while the old group keeps probing (Fig. 26), then retires the old group.
 
 Data moves only as byte volumes here. The engine keeps the *topology*
 beside it: stages, tasks with their driver counts, output-buffer ID groups
@@ -33,13 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster import Cluster, RpcModel, calibration as cal
-from repro.engine.hashjoin import (
-    IntermediateDataCache,
-    RebuildOp,
-    StateTransferRecord,
-    plan_broadcast_rebuild,
-    plan_partitioned_switch,
-)
+from repro.engine.hashjoin import RebuildOp
 from repro.engine.plan import HASH_JOIN, StageTree
 from repro.engine.scheduler import DynamicScheduler, QueryExecution, schedule_query
 from repro.engine.stage import Stage
@@ -64,11 +58,8 @@ class StageCost:
     per_driver_rate_mb_s: float
     selectivity: float = 1.0
     scan_bytes: float = 0.0
-    scan_rows: int = 0
     out_shuffle_rate_mb_s: float | None = None
     per_task_rate: bool = False
-    build_rate_mb_s: float = cal.BUILD_RATE_MB_S
-    rebuild_shuffle_rate_mb_s: float = cal.REBUILD_SHUFFLE_RATE_MB_S
 
 
 @dataclass
@@ -184,12 +175,12 @@ class _StageState:
     build_received: float = 0.0
     built: bool = True
     build_done_at: float | None = None
-    #: task_id -> simulated time at which the task may start probing.
+    #: task_id -> simulated time at which the task may start probing
+    #: (the ``done_at`` of the rebuild that added it).
     active_from: dict[str, float] = field(default_factory=dict)
-    #: partitioned joins: the task group currently serving probes.
-    probing_task_ids: list[str] | None = None
+    #: partitioned joins: the DOP switch in flight; when it completes,
+    #: every task outside its new group is retired.
     pending_switch: RebuildOp | None = None
-    pending_old_ids: list[str] = field(default_factory=list)
     #: the parent's buffer this stage pushes into (None at the root), and
     #: every stage feeding that buffer (the end page waits for all of them).
     out_buf: ByteElasticBuffer | None = None
@@ -203,8 +194,10 @@ class _StageState:
     cum_consumed_samples: list[tuple[float, float]] = field(default_factory=list)
 
     def effective_dop(self) -> int:
-        if self.probing_task_ids is not None:
-            return len(self.probing_task_ids)
+        """The reported stage DOP: during a partitioned switch, the old
+        group only; a broadcast stage counts its tasks still rebuilding."""
+        if self.pending_switch is not None:
+            return self.stage.dop - len(self.pending_switch.new_task_ids)
         return self.stage.dop
 
 
@@ -240,10 +233,10 @@ class SimExecutor:
             rpc=RpcModel(seed=rpc_seed),
         )
         self.sched = DynamicScheduler(self.exe)
-        self.cache = IntermediateDataCache()
-        self.state_transfers: list[StateTransferRecord] = []
         #: every hash-table (re)construction triggered by DOP tuning.
         self.rebuild_log: list[RebuildOp] = []
+        #: the finished partitioned DOP switches: Table 2's rows.
+        self.state_transfers: list[RebuildOp] = []
         self.done = False
         self.total_time_s: float | None = None
         self._sample_every = 1.0
@@ -266,8 +259,6 @@ class SimExecutor:
                 st.build_buf = ByteElasticBuffer()
             st.expected_in = query.expected_input_bytes(sid)
             st.expected_build = query.expected_build_bytes(sid)
-            if st.partitioned:
-                st.probing_task_ids = [t.task_id for t in st.stage.tasks]
             self.states[sid] = st
         self._topo = query.tree.topological()
         for sid, pst in self.states.items():
@@ -286,15 +277,7 @@ class SimExecutor:
         return self.cluster.node(node_id).cpu_scale()
 
     def _probing_tasks(self, st: _StageState):
-        tasks = st.stage.tasks
-        if st.probing_task_ids is not None:
-            ids = set(st.probing_task_ids)
-            tasks = [t for t in tasks if t.task_id in ids]
-        return [
-            t
-            for t in tasks
-            if st.active_from.get(t.task_id, 0.0) <= self.t
-        ]
+        return [t for t in st.stage.tasks if st.active_from.get(t.task_id, 0.0) <= self.t]
 
     def _input_bytes_s(self, st: _StageState, tasks) -> float:
         """Bytes/s ``tasks`` of this stage consume at their CPU share."""
@@ -319,17 +302,13 @@ class SimExecutor:
         # ---- join build phase: ingest the build side ----------------------
         if st.has_join and not st.built:
             n_tasks = max(1, len(st.stage.tasks))
-            want = n_tasks * cal.mb_s(st.cost.build_rate_mb_s) * self.dt
+            want = n_tasks * cal.mb_s(cal.BUILD_RATE_MB_S) * self.dt
             assert st.build_buf is not None
             got = st.build_buf.take(want)
             st.build_received += got
             if st.build_buf.ended and st.build_buf.drained():
                 st.built = True
                 st.build_done_at = self.t
-                # §4.5: build side cached for later reconstructions.
-                build_src = self.query.tree[sid].build_source()
-                if build_src is not None:
-                    self.cache.put(build_src.child_stage_id, st.build_received)
         # ---- main (probe) flow -------------------------------------------
         tasks = self._probing_tasks(st)
         capacity = 0.0
@@ -370,7 +349,6 @@ class SimExecutor:
             # A switch still in flight when the probe finishes is moot —
             # the filter should have rejected it (§5.2); drop it.
             st.pending_switch = None
-            st.pending_old_ids = []
             # Propagate end pages upward: the parent's buffer ends once
             # every stage feeding it has ended.
             if st.out_buf is not None and all(self.states[s].ended for s in st.out_feeders):
@@ -379,17 +357,15 @@ class SimExecutor:
                 task.context.finished = True
 
     def _process_pending(self) -> None:
-        for sid, st in self.states.items():
+        for st in self.states.values():
             op = st.pending_switch
             if op is not None and self.t >= op.done_at:
-                # switch the probe side to the new task group (§4.5)
-                st.probing_task_ids = list(op.new_task_ids)
-                old = [t for t in st.stage.tasks if t.task_id in set(st.pending_old_ids)]
-                for task in old:
+                # the probe side is on the new task group (§4.5): retire the old one
+                new = set(op.new_task_ids)
+                for task in [t for t in st.stage.tasks if t.task_id not in new]:
                     self.exe.retire_task(task)
-                self.state_transfers.append(op.record())
+                self.state_transfers.append(op)
                 st.pending_switch = None
-                st.pending_old_ids = []
 
     # ------------------------------------------------------------------ step
     def step(self) -> None:
@@ -451,54 +427,26 @@ class SimExecutor:
 
     def _resize_stage(self, st: _StageState, n: int, cur: int) -> TuningOutcome:
         stage_id = st.stage.stage_id
-        if not st.has_join:
-            if n > cur:
-                _, latency = self.sched.add_tasks(stage_id, n - cur)
-            else:
-                _, latency = self.sched.remove_tasks(stage_id, cur - n)
+        if st.partitioned and st.pending_switch is not None:
+            return TuningOutcome(False, "DOP switch already in progress")
+        if n < cur and not st.partitioned:
+            _, latency = self.sched.remove_tasks(stage_id, cur - n)
             return TuningOutcome(True, latency_s=latency)
-        # --- join stages ---------------------------------------------------
-        build_bytes = st.expected_build
+        # a partitioned join switches to a new group of n tasks (§4.5);
+        # any other stage grows by the difference
+        new_tasks, latency = self.sched.add_tasks(stage_id, n if st.partitioned else n - cur)
+        if not st.has_join:
+            return TuningOutcome(True, latency_s=latency)
+        op = RebuildOp(
+            stage_id, cur, n, st.partitioned, st.expected_build, self.t,
+            [t.task_id for t in new_tasks],
+        )
+        self.rebuild_log.append(op)
+        for t in new_tasks:
+            st.active_from[t.task_id] = op.done_at
         if st.partitioned:
-            if st.pending_switch is not None:
-                return TuningOutcome(False, "DOP switch already in progress")
-            old_ids = list(st.probing_task_ids or [])
-            new_tasks, latency = self.sched.add_tasks(stage_id, n)
-            op = plan_partitioned_switch(
-                stage_id=stage_id,
-                old_dop=cur,
-                new_dop=n,
-                build_bytes=build_bytes,
-                now_s=self.t,
-                rebuild_shuffle_rate_mb_s=st.cost.rebuild_shuffle_rate_mb_s,
-                build_rate_mb_s=st.cost.build_rate_mb_s,
-            )
-            op.new_task_ids = [t.task_id for t in new_tasks]
-            op.from_cache = True
-            self.rebuild_log.append(op)
             st.pending_switch = op
-            st.pending_old_ids = old_ids
-            for t in new_tasks:
-                st.active_from[t.task_id] = op.done_at
-            return TuningOutcome(True, latency_s=latency, rebuild=op)
-        # broadcast join
-        if n > cur:
-            new_tasks, latency = self.sched.add_tasks(stage_id, n - cur)
-            op = plan_broadcast_rebuild(
-                stage_id=stage_id,
-                old_dop=cur,
-                new_dop=n,
-                build_bytes=build_bytes,
-                now_s=self.t,
-                build_rate_mb_s=st.cost.build_rate_mb_s,
-            )
-            op.new_task_ids = [t.task_id for t in new_tasks]
-            self.rebuild_log.append(op)
-            for t in new_tasks:
-                st.active_from[t.task_id] = op.done_at
-            return TuningOutcome(True, latency_s=latency, rebuild=op)
-        _, latency = self.sched.remove_tasks(stage_id, cur - n)
-        return TuningOutcome(True, latency_s=latency)
+        return TuningOutcome(True, latency_s=latency, rebuild=op)
 
     # ------------------------------------------------------- runtime queries
     def stage_input_capacity_bytes_s(self, stage_id: int) -> float:

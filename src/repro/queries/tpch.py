@@ -72,10 +72,9 @@ def _two_phase(name: str, description: str, tables: list[str], sql: str,
                     probe_table, partial, merge)
 
 
-def _scan(table: str, selectivity: float, *, rate: float = cal.SCAN_RATE_MB_S,
-          shuffle_cap: float | None = None) -> StageCost:
+def _scan(table: str, selectivity: float, *, shuffle_cap: float | None = None) -> StageCost:
     return StageCost(
-        per_driver_rate_mb_s=rate,
+        per_driver_rate_mb_s=cal.SCAN_RATE_MB_S,
         selectivity=selectivity,
         scan_bytes=sf100_bytes(table),
         out_shuffle_rate_mb_s=shuffle_cap,

@@ -2,6 +2,7 @@
 (§4.2.1) — and the runtime elastic buffer (§4.2.2)."""
 import pytest
 
+from repro.core import RuntimeInfoCollector
 from repro.engine import plan as P
 from repro.engine.buffers import OutputBuffer
 from repro.engine.exec_sim import (
@@ -124,10 +125,13 @@ class TestSharedBuffer:
 
     def test_page_cache_retains_when_enabled(self):
         # §4.2.1/§4.5: a broadcast join's build side arrives through shared
-        # buffers, and its output stays cached for later rebuilds
+        # buffers, and a later rebuild reads all of it from the cache
         ex = join_sim(partitioned=False)
         assert not ex.exe.out_buffers[3].shuffle
-        assert ex.cache.entries[3].bytes == pytest.approx(0.2 * GB)
+        build_bytes = RuntimeInfoCollector(ex).collect()[1].build_bytes
+        assert build_bytes == pytest.approx(0.2 * GB)
+        out = ex.set_stage_dop(1, 2)
+        assert out.applied and out.rebuild.build_bytes == build_bytes
 
 
 class TestShuffleBuffer:
@@ -170,6 +174,8 @@ class TestShuffleBuffer:
         # §4.2.1: the cached build side is what a DOP switch reshuffles
         ex = join_sim(partitioned=True)
         assert ex.exe.out_buffers[3].shuffle
+        build_bytes = RuntimeInfoCollector(ex).collect()[1].build_bytes
+        assert build_bytes == pytest.approx(0.2 * GB)
         out = ex.set_stage_dop(1, 2)
-        assert out.applied and out.rebuild.from_cache
-        assert out.rebuild.build_bytes == pytest.approx(ex.cache.entries[3].bytes)
+        assert out.applied and out.rebuild.partitioned
+        assert out.rebuild.build_bytes == build_bytes

@@ -104,11 +104,16 @@ class TestJoinPhasing:
         assert st1.in_buf.level <= st1.in_buf.capacity + 1
 
     def test_build_side_cached_for_reuse(self):
-        # §4.5: build side retained in the intermediate data cache
-        ex = SimExecutor(join_query(partitioned=True))
+        # §4.5: a rebuild reshuffles the whole cached build side
+        ex = SimExecutor(join_query(probe_bytes=4 * GB, partitioned=True))
+        while not ex.states[1].built:
+            ex.step()
+        build_bytes = RuntimeInfoCollector(ex).collect()[1].build_bytes
+        assert build_bytes == pytest.approx(0.2 * GB)
+        op = ex.set_stage_dop(1, 2).rebuild
+        assert op.build_bytes == build_bytes
         ex.run()
-        assert 3 in ex.cache
-        assert ex.cache.entries[3].bytes == pytest.approx(0.2 * GB, rel=0.01)
+        assert ex.state_transfers == [op]
 
     def test_turn_up_counter_flat_for_bottleneck(self):
         # §5.1: the bottleneck stage's buffer never runs empty
@@ -246,6 +251,41 @@ class TestIntraStageTuning:
         assert not out.applied
 
 
+class TestRebuildDop:
+    """The DOP a snapshot reports while a join stage rebuilds (§4.5)."""
+
+    @staticmethod
+    def start(partitioned, stage_dop, new_dop):
+        q = join_query(probe_bytes=6 * GB, build_bytes=1 * GB, partitioned=partitioned)
+        ex = SimExecutor(q, stage_dop=stage_dop)
+        while not ex.states[1].built:
+            ex.step()
+        op = ex.set_stage_dop(1, new_dop).rebuild
+        return ex, op, RuntimeInfoCollector(ex)
+
+    def test_partitioned_switch_reports_the_old_group_until_done(self):
+        ex, op, collector = self.start(True, 2, 4)
+        assert len(op.new_task_ids) == 4
+        while ex.t < op.done_at:
+            s = collector.collect()[1]
+            assert (s.dop, s.switching) == (2, True)
+            ex.step()
+        s = collector.collect()[1]
+        assert (s.dop, s.switching) == (4, False)
+        assert [t.task_id for t in s.tasks] == op.new_task_ids  # old group retired
+
+    def test_broadcast_reports_rebuilding_tasks_but_they_do_not_probe(self):
+        ex, op, collector = self.start(False, 1, 4)
+        one_task = ex.stage_input_capacity_bytes_s(1)
+        while ex.t < op.done_at:
+            s = collector.collect()[1]
+            assert (s.dop, s.switching) == (4, False)
+            assert ex.stage_input_capacity_bytes_s(1) == one_task
+            ex.step()
+        assert collector.collect()[1].dop == 4
+        assert ex.stage_input_capacity_bytes_s(1) == pytest.approx(4 * one_task)
+
+
 class TestShuffleCaps:
     def test_out_shuffle_rate_binds(self):
         pl = P.output(P.final_agg(P.exchange(P.partial_agg(P.hash_join(
@@ -344,8 +384,8 @@ def _assert_topology_consistent(ex):
         assert sorted(buf.buffer_ids) == seqs, sid
         assert all(buf.groups), sid  # no empty task group left behind
     for st in ex.states.values():
-        if st.probing_task_ids is not None:
-            assert st.probing_task_ids
+        if st.partitioned and not st.ended:
+            assert ex._probing_tasks(st), st.stage.stage_id  # never an empty probe side
 
 
 class TestTopology:

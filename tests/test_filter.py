@@ -122,10 +122,7 @@ class TestBuildEstimate:
     def test_estimate_matches_executor_rebuild(self, partitioned, new_dop):
         # one T_build formula: the filter's estimate is the reshuffle + build
         # time of the reconstruction the executor then starts
-        q = join_query(build_bytes=0.7 * GB, partitioned=partitioned)
-        q.costs[1].build_rate_mb_s = 90.0
-        q.costs[1].rebuild_shuffle_rate_mb_s = 250.0
-        ex = SimExecutor(q)
+        ex = SimExecutor(join_query(build_bytes=0.7 * GB, partitioned=partitioned))
         ex.step()
         estimate = TuningRequestFilter(ex).whatif.build_time_s(1, new_dop)
         op = ex.set_stage_dop(1, new_dop).rebuild

@@ -1,105 +1,70 @@
-"""Tests for DOP switching math and the intermediate data cache (§4.5)."""
+"""Tests for the hash-table rebuild model of DOP switching (§4.5)."""
 import pytest
 
-from repro.engine.hashjoin import (
-    IntermediateDataCache,
-    StateTransferRecord,
-    estimate_build_time_s,
-    plan_broadcast_rebuild,
-    plan_partitioned_switch,
-)
+from repro.engine.hashjoin import RebuildOp, rebuild_phases_s
 
 GB = 1e9
 ORDERS = 16.57 * GB  # Q2J's build side (Table 1)
 
 
-class TestIntermediateDataCache:
-    def test_put_get(self):
-        c = IntermediateDataCache()
-        c.put(3, 1e9, rows=100)
-        e = c.get(3)
-        assert e.bytes == 1e9 and e.rows == 100
+def switch(old_dop, new_dop, build_bytes=ORDERS, started_at=0.0):
+    return RebuildOp(1, old_dop, new_dop, True, build_bytes, started_at)
 
-    def test_hits_counted(self):
-        c = IntermediateDataCache()
-        c.put(3, 1e9)
-        c.get(3)
-        c.get(3)
-        assert c.entries[3].hits == 2
 
-    def test_missing(self):
-        c = IntermediateDataCache()
-        assert c.get(9) is None
-        assert 9 not in c
+def broadcast(new_dop, build_bytes=GB, started_at=0.0):
+    return RebuildOp(3, 1, new_dop, False, build_bytes, started_at)
 
 
 class TestPartitionedSwitch:
     def test_table2_row_2_to_4(self):
         # Paper Table 2: 2->4 shuffle 12.55 s, build 30.12 s, total 42.67 s
-        op = plan_partitioned_switch(
-            stage_id=1, old_dop=2, new_dop=4, build_bytes=ORDERS, now_s=0.0
-        )
+        op = switch(2, 4)
         assert op.shuffle_time_s == pytest.approx(12.55, rel=0.02)
         assert op.build_time_s == pytest.approx(30.12, rel=0.02)
-        assert op.record().total_time_s == pytest.approx(42.67, rel=0.02)
+        assert op.as_row()["Total time"] == pytest.approx(42.67, rel=0.02)
 
     def test_table2_row_4_to_6(self):
-        op = plan_partitioned_switch(
-            stage_id=1, old_dop=4, new_dop=6, build_bytes=ORDERS, now_s=0.0
-        )
-        assert op.record().total_time_s == pytest.approx(29.03, rel=0.05)
+        assert switch(4, 6).as_row()["Total time"] == pytest.approx(29.03, rel=0.05)
 
     def test_table2_row_6_to_8(self):
-        op = plan_partitioned_switch(
-            stage_id=1, old_dop=6, new_dop=8, build_bytes=ORDERS, now_s=0.0
-        )
-        assert op.record().total_time_s == pytest.approx(21.61, rel=0.12)
+        assert switch(6, 8).as_row()["Total time"] == pytest.approx(21.61, rel=0.12)
 
     def test_times_scale_inverse_with_dop(self):
-        a = plan_partitioned_switch(stage_id=1, old_dop=2, new_dop=4,
-                                    build_bytes=ORDERS, now_s=0.0)
-        b = plan_partitioned_switch(stage_id=1, old_dop=2, new_dop=8,
-                                    build_bytes=ORDERS, now_s=0.0)
-        assert b.record().total_time_s == pytest.approx(a.record().total_time_s / 2)
+        a, b = switch(2, 4), switch(2, 8)
+        assert b.done_at - b.started_at == pytest.approx((a.done_at - a.started_at) / 2)
 
     def test_phases_are_sequential(self):
-        op = plan_partitioned_switch(stage_id=1, old_dop=2, new_dop=4,
-                                     build_bytes=GB, now_s=10.0)
+        op = switch(2, 4, build_bytes=GB, started_at=10.0)
         assert 10.0 < op.shuffle_done_at < op.done_at
 
 
 class TestBroadcastRebuild:
     def test_no_shuffle_phase(self):
-        op = plan_broadcast_rebuild(stage_id=3, old_dop=1, new_dop=4,
-                                    build_bytes=GB, now_s=5.0)
+        op = broadcast(4, started_at=5.0)
         assert op.shuffle_time_s == 0.0
+        assert op.shuffle_done_at == 5.0
 
     def test_duration_independent_of_task_count(self):
         # §6.3: reconstruction for multiple tasks occurs in parallel
-        a = plan_broadcast_rebuild(stage_id=3, old_dop=1, new_dop=2,
-                                   build_bytes=GB, now_s=0.0)
-        b = plan_broadcast_rebuild(stage_id=3, old_dop=1, new_dop=8,
-                                   build_bytes=GB, now_s=0.0)
-        assert a.build_time_s == b.build_time_s
+        assert broadcast(2).build_time_s == broadcast(8).build_time_s
 
     def test_q3_s3_build_time_matches_paper(self):
         # paper: ~2.991 s for stage 3 (build side = filtered customer)
-        op = plan_broadcast_rebuild(stage_id=3, old_dop=1, new_dop=2,
-                                    build_bytes=0.2 * 2.29 * GB, now_s=0.0)
+        op = broadcast(2, build_bytes=0.2 * 2.29 * GB)
         assert op.build_time_s == pytest.approx(2.991, rel=0.15)
 
 
 class TestEstimate:
     def test_partitioned_estimate_includes_shuffle(self):
-        t = estimate_build_time_s(partitioned=True, build_bytes=ORDERS, new_dop=4)
+        t = sum(rebuild_phases_s(True, ORDERS, 4))
         assert t == pytest.approx(42.67, rel=0.02)
 
     def test_broadcast_estimate(self):
-        t = estimate_build_time_s(partitioned=False, build_bytes=GB, new_dop=8)
-        assert t == pytest.approx(1e9 / 137e6, rel=0.01)
+        assert rebuild_phases_s(False, GB, 8) == (0.0, pytest.approx(1e9 / 137e6, rel=0.01))
 
     def test_record_as_row_shape(self):
-        r = StateTransferRecord(1, 2, 4, 12.0, 30.0)
-        row = r.as_row()
-        assert row["DOP switching"] == "2 -> 4"
-        assert row["Total time"] == 42.0
+        op = RebuildOp(1, 2, 4, True, GB, 0.0)
+        op.shuffle_done_at, op.done_at = 12.0, 42.0
+        assert op.as_row() == {
+            "DOP switching": "2 -> 4", "Total time": 42.0, "Shuffle time": 12.0, "Build time": 30.0,
+        }

@@ -1,7 +1,10 @@
 """Correctness of every workload query against the DuckDB oracle, plus
 consistency of the simulator specs (repro.queries)."""
+import dataclasses
+
 import pytest
 
+from repro.engine.exec_sim import StageCost
 from repro.oracle import assert_equivalent
 from repro.queries.catalog import TABLE1, sf100_bytes
 from repro.queries.tpch import QUERIES, load_tables, qshuf_sim
@@ -72,6 +75,18 @@ class TestSimSpecs:
     def test_qshuf_initial_dops(self):
         q = qshuf_sim()
         assert q.initial_stage_dop[1] == 10  # paper: S1 stage DOP 10
+
+    def test_every_cost_knob_is_used(self):
+        # a StageCost field that every workload stage leaves at its default
+        # is a knob with one value in use: fold it into cluster.calibration
+        costs = [c for q in QUERIES.values() for c in q.sim_query().costs.values()]
+        costs += qshuf_sim(with_shuffle_stage=True).costs.values()
+        unused = [
+            f.name for f in dataclasses.fields(StageCost)
+            if f.default is not dataclasses.MISSING
+            and all(getattr(c, f.name) == f.default for c in costs)
+        ]
+        assert unused == []
 
     def test_partitioned_flags(self):
         assert QUERIES["Q2J"].sim_query().tree[1].root.find("hash_join")[0].props["partitioned"]

@@ -22,6 +22,12 @@ class TestParse:
         (a,) = parse_script("CONSTRAINT S1,30 @ 150")
         assert a.kind == CONSTRAINT and a.b == 30 and a.t == 150.0
 
+    @pytest.mark.parametrize("deadline", ["30.5", "30."])
+    def test_constraint_deadline_must_be_whole_seconds(self, deadline):
+        # a fractional deadline must not be truncated silently
+        with pytest.raises(ValueError, match="unparseable script line"):
+            parse_script(f"CONSTRAINT S1,{deadline} @ 150")
+
     def test_sorted_by_time(self):
         acts = parse_script("AP S1,2,4 @ 50\nAP S3,1,2 @ 10")
         assert [a.t for a in acts] == [10.0, 50.0]
