@@ -2,9 +2,10 @@
 
 ``Cluster.presto_testbed()`` reproduces the paper's §6.1 deployment. Task
 placement is round-robin over compute nodes, matching Presto's node
-scheduler behaviour for a mostly idle cluster; scan-stage tasks may be
-pinned to storage nodes (the elastic-shuffle experiment stores ``orders``
-on exactly two nodes to provoke a shuffle bottleneck, §6.4.2).
+scheduler behaviour for a mostly idle cluster; the scheduler pins
+scan-stage tasks to named storage nodes instead where a query asks (the
+elastic-shuffle experiment stores ``orders`` on exactly two nodes to
+provoke a shuffle bottleneck, §6.4.2).
 """
 from __future__ import annotations
 
@@ -43,9 +44,6 @@ class Cluster:
     def compute_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.role == COMPUTE]
 
-    def storage_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.role == STORAGE]
-
     def node(self, node_id: str) -> Node:
         for n in self.nodes:
             if n.node_id == node_id:
@@ -53,23 +51,11 @@ class Cluster:
         raise KeyError(node_id)
 
     # -------------------------------------------------------------- placement
-    def place_task(self, *, pinned: str | None = None) -> Node:
-        """Choose a node for a new task.
-
-        ``pinned`` pins to a named node (scan tasks co-located with their
-        table's storage nodes); otherwise round-robin over compute nodes.
-        """
-        if pinned is not None:
-            return self.node(pinned)
+    def place_task(self) -> Node:
+        """Choose a compute node for a new task, round-robin."""
         cn = self.compute_nodes()
         if not cn:
             raise RuntimeError("cluster has no compute nodes")
         n = cn[self._rr_next % len(cn)]
         self._rr_next += 1
         return n
-
-    def place_tasks(self, count: int, *, pinned: list[str] | None = None) -> list[Node]:
-        """Place ``count`` tasks; cycles through ``pinned`` node ids if given."""
-        if pinned:
-            return [self.node(pinned[i % len(pinned)]) for i in range(count)]
-        return [self.place_task() for _ in range(count)]

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from repro.core.predictor import WhatIfService
 from repro.core.runtime_info import QueryInfo
 from repro.engine.exec_sim import SimExecutor
-from repro.engine.plan import pins_stage
 
 STAGE = "stage"
 TASK = "task"
@@ -32,10 +31,6 @@ class TuningRequest:
     kind: str  # STAGE or TASK
     stage_id: int
     new_dop: int
-
-    def describe(self) -> str:
-        unit = "stage DOP" if self.kind == STAGE else "task DOP"
-        return f"S{self.stage_id} {unit} -> {self.new_dop}"
 
 
 @dataclass
@@ -70,7 +65,7 @@ class TuningRequestFilter:
             return FilterDecision(False, f"stage {req.stage_id} already finished")
         if req.new_dop < 1:
             return FilterDecision(False, "DOP must be >= 1")
-        if pins_stage(self.executor.query.tree[req.stage_id].root):
+        if self.executor.query.tree[req.stage_id].pinned:
             return FilterDecision(False, "final aggregation stage: parallelism fixed at 1 (§4.1)")
         cur = s.dop if req.kind == STAGE else s.task_dop
         if req.new_dop == cur:

@@ -30,17 +30,12 @@ from repro.engine.plan import StageTree
 def probe_scan_stage(tree: StageTree, stage_id: int) -> int:
     """The table-scan stage feeding ``stage_id``'s probe/main input chain."""
     sid = stage_id
-    while True:
-        frag = tree[sid]
-        if frag.is_scan():
-            return sid
-        src = frag.probe_source()
+    while not tree[sid].is_scan:
+        src = tree[sid].main_source
         if src is None:
-            inputs = [s for s in frag.sources if s.role == "input"]
-            if not inputs:
-                raise ValueError(f"stage {stage_id} has no scan ancestry")
-            src = inputs[0]
+            raise ValueError(f"stage {stage_id} has no scan ancestry")
         sid = src.child_stage_id
+    return sid
 
 
 @dataclass
@@ -104,17 +99,13 @@ class WhatIfService:
         """
         frag = self.executor.query.tree[stage_id]
         cores = float(self.executor.cluster.compute_nodes()[0].cores)
-        if frag.is_scan():
+        if frag.is_scan:
             # a scan's upstream is storage, which Table 1 spreads wide
             # enough not to bind; the per-node core count caps n_f instead
             return cores
-        src = frag.probe_source()
-        if src is None:
-            inputs = [s for s in frag.sources if s.role == "input"]
-            if not inputs:
-                return 1.0
-            src = inputs[0]
-        up = src.child_stage_id
+        if frag.main_source is None:
+            return 1.0
+        up = frag.main_source.child_stage_id
         s = self.snapshot(info)[up]
         cur = s.recent_rate_bytes_s * self.executor.query.costs[up].selectivity
         if cur <= 0.0:

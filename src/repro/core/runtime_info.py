@@ -71,9 +71,6 @@ class QueryInfo:
     done: bool
     stages: dict[int, StageInfo] = field(default_factory=dict)
 
-    def scan_stages(self) -> list[StageInfo]:
-        return [s for s in self.stages.values() if s.is_scan]
-
     def __getitem__(self, sid: int) -> StageInfo:
         return self.stages[sid]
 

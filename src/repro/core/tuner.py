@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.core.filter import STAGE, TASK, FilterDecision, TuningRequest, TuningRequestFilter
 from repro.core.predictor import Prediction, WhatIfService, probe_scan_stage
 from repro.engine.exec_sim import SimExecutor, TuningOutcome
-from repro.engine.plan import StageTree, pins_stage
+from repro.engine.plan import StageTree
 
 
 @dataclass
@@ -41,7 +41,7 @@ def build_tuning_units(tree: StageTree) -> list[TuningUnit]:
     """Decompose the stage tree into DOP tuning units (§5.4)."""
     units: dict[int, list[int]] = {}
     for sid in tree.stage_ids():
-        if pins_stage(tree[sid].root):
+        if tree[sid].pinned:
             continue
         # Intermediate stages are knobs of their progress scan's unit; the
         # scan stage itself is also adjustable (Fig. 25b tunes Q1's S1,

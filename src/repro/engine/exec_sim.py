@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.cluster import Cluster, RpcModel, calibration as cal
 from repro.engine.hashjoin import RebuildOp
-from repro.engine.plan import HASH_JOIN, StageTree
+from repro.engine.plan import StageTree
 from repro.engine.scheduler import DynamicScheduler, QueryExecution, schedule_query
 from repro.engine.stage import Stage
 
@@ -77,23 +77,15 @@ class SimQuery:
     def expected_input_bytes(self, sid: int) -> float:
         """Total bytes this stage will consume on its main (probe) input."""
         frag = self.tree[sid]
-        cost = self.costs[sid]
-        if frag.is_scan():
-            return cost.scan_bytes
-        probe = frag.probe_source()
-        if probe is not None:
-            return self.expected_output_bytes(probe.child_stage_id)
-        return sum(
-            self.expected_output_bytes(s.child_stage_id)
-            for s in frag.sources
-            if s.role == "input"
-        )
+        if frag.is_scan:
+            return self.costs[sid].scan_bytes
+        return self.expected_output_bytes(frag.main_source.child_stage_id)
 
     def expected_output_bytes(self, sid: int) -> float:
         return self.expected_input_bytes(sid) * self.costs[sid].selectivity
 
     def expected_build_bytes(self, sid: int) -> float:
-        build = self.tree[sid].build_source()
+        build = self.tree[sid].build_source
         if build is None:
             return 0.0
         return self.expected_output_bytes(build.child_stage_id)
@@ -246,12 +238,9 @@ class SimExecutor:
         for sid in query.tree.stage_ids():
             frag = query.tree[sid]
             st = _StageState(stage=self.exe.stages[sid], cost=query.costs[sid])
-            st.is_scan = frag.is_scan()
-            st.has_join = frag.has_join()
-            joins = frag.root.find(HASH_JOIN)
-            if len(joins) > 1:
-                raise ValueError("at most one join per fragment supported")
-            st.partitioned = bool(joins and joins[0].props.get("partitioned"))
+            st.is_scan = frag.is_scan
+            st.has_join = frag.has_join
+            st.partitioned = frag.partitioned
             if st.is_scan:
                 st.scan_remaining = st.cost.scan_bytes
             if st.has_join:

@@ -1,12 +1,15 @@
 """Physical plan nodes and fragmentation into a stage tree (§2, Fig. 4).
 
-The optimizer inserts **exchange** nodes (and **local exchange** nodes) into
-the physical plan; the plan is then cut at exchange boundaries into
-fragments, one per execution stage. Each fragment keeps a ``RemoteSourceRef``
-where an exchange used to be, remembering which child stage feeds it and
-whether that feed is the **build** or **probe** side of a join — that
-distinction is what drives execution dependencies (§6.2: "stage 3 exhibits
-an execution dependency on stage 1") and DOP-switching (§4.5).
+The optimizer inserts **exchange** nodes into the physical plan; the plan
+is then cut at exchange boundaries into fragments, one per execution stage.
+Each fragment keeps a ``RemoteSourceRef`` where an exchange used to be,
+remembering which child stage feeds it and whether that feed is the
+**build** or **probe** side of a join — that distinction is what drives
+execution dependencies (§6.2: "stage 3 exhibits an execution dependency on
+stage 1") and DOP-switching (§4.5).
+
+A ``Fragment`` states its stage's shape (scan, join kind, pin, main and
+build input) once; no other module reads plan nodes.
 """
 from __future__ import annotations
 
@@ -16,14 +19,11 @@ from typing import Iterator, Optional
 # ---------------------------------------------------------------- node kinds
 TABLE_SCAN = "table_scan"
 FILTER = "filter"
-PROJECT = "project"
 HASH_JOIN = "hash_join"
-CROSS_JOIN = "cross_join"
 PARTIAL_AGG = "partial_agg"
 FINAL_AGG = "final_agg"
 TOPN = "topn"
 EXCHANGE = "exchange"
-LOCAL_EXCHANGE = "local_exchange"
 OUTPUT = "output"
 REMOTE_SOURCE = "remote_source"
 #: A dedicated shuffle stage (§4.6) is a fragment holding only this node
@@ -31,37 +31,9 @@ REMOTE_SOURCE = "remote_source"
 SHUFFLE = "shuffle"
 
 ALL_KINDS = {
-    TABLE_SCAN, FILTER, PROJECT, HASH_JOIN, CROSS_JOIN, PARTIAL_AGG,
-    FINAL_AGG, TOPN, EXCHANGE, LOCAL_EXCHANGE, OUTPUT, REMOTE_SOURCE, SHUFFLE,
+    TABLE_SCAN, FILTER, HASH_JOIN, PARTIAL_AGG, FINAL_AGG, TOPN, EXCHANGE,
+    OUTPUT, REMOTE_SOURCE, SHUFFLE,
 }
-
-# ------------------------------------------------- §4.1 operator classification
-#: Operators whose DOP may be tuned freely. Partial aggregation counts as
-#: stateless: its state can be dropped and rebuilt (two-phase aggregation).
-#: A join runs as a stateless probe plus a stateful build; a local exchange
-#: as a sink/source pair; a fragment's root feeds the task output.
-STATELESS_KINDS = frozenset({
-    "filter", "project", "sink", "source", "exchange", "task_output",
-    "table_scan", "partial_agg", "shuffle", "probe", "topn_partial",
-})
-#: Operators whose state pins parallelism. A join build is rebuilt on a DOP
-#: change (§4.5); the others pin their stage to one task.
-STATEFUL_KINDS = frozenset({"final_agg", "build", "cross_join_build", "topn"})
-_REBUILT_KINDS = frozenset({"build", "cross_join_build"})
-
-
-def is_stateless(kind: str) -> bool:
-    if kind in STATELESS_KINDS:
-        return True
-    if kind in STATEFUL_KINDS:
-        return False
-    raise ValueError(f"unclassified operator kind: {kind}")
-
-
-def pins_stage(root: PlanNode) -> bool:
-    """§4.1: a fragment holding a stateful operator that no rebuild can
-    redistribute (final aggregation, top-N) runs as a single task."""
-    return any(n.kind in STATEFUL_KINDS - _REBUILT_KINDS for n in root.walk())
 
 
 @dataclass
@@ -88,49 +60,41 @@ class PlanNode:
 
 
 # ------------------------------------------------------------- constructors
-def scan(table: str, **props) -> PlanNode:
-    return PlanNode(TABLE_SCAN, name=table, props=props)
+def scan(table: str) -> PlanNode:
+    return PlanNode(TABLE_SCAN, name=table)
 
 
-def filter_(child: PlanNode, predicate: str = "", **props) -> PlanNode:
-    return PlanNode(FILTER, [child], name=predicate, props=props)
+def filter_(child: PlanNode, predicate: str = "") -> PlanNode:
+    return PlanNode(FILTER, [child], name=predicate)
 
 
-def project(child: PlanNode, **props) -> PlanNode:
-    return PlanNode(PROJECT, [child], props=props)
+def exchange(child: PlanNode) -> PlanNode:
+    return PlanNode(EXCHANGE, [child])
 
 
-def exchange(child: PlanNode, **props) -> PlanNode:
-    return PlanNode(EXCHANGE, [child], props=props)
-
-
-def local_exchange(child: PlanNode, **props) -> PlanNode:
-    return PlanNode(LOCAL_EXCHANGE, [child], props=props)
-
-
-def hash_join(probe: PlanNode, build: PlanNode, *, partitioned: bool, on: str = "", **props) -> PlanNode:
+def hash_join(probe: PlanNode, build: PlanNode, *, partitioned: bool, on: str = "") -> PlanNode:
     """Join node; ``partitioned=False`` means broadcast hash join (§4.5)."""
-    return PlanNode(HASH_JOIN, [probe, build], name=on, props={"partitioned": partitioned, **props})
+    return PlanNode(HASH_JOIN, [probe, build], name=on, props={"partitioned": partitioned})
 
 
-def partial_agg(child: PlanNode, **props) -> PlanNode:
-    return PlanNode(PARTIAL_AGG, [child], props=props)
+def partial_agg(child: PlanNode) -> PlanNode:
+    return PlanNode(PARTIAL_AGG, [child])
 
 
-def final_agg(child: PlanNode, **props) -> PlanNode:
-    return PlanNode(FINAL_AGG, [child], props=props)
+def final_agg(child: PlanNode) -> PlanNode:
+    return PlanNode(FINAL_AGG, [child])
 
 
-def topn(child: PlanNode, n: int = 10, **props) -> PlanNode:
-    return PlanNode(TOPN, [child], props={"n": n, **props})
+def topn(child: PlanNode, n: int = 10) -> PlanNode:
+    return PlanNode(TOPN, [child], props={"n": n})
 
 
-def output(child: PlanNode, **props) -> PlanNode:
-    return PlanNode(OUTPUT, [child], props=props)
+def output(child: PlanNode) -> PlanNode:
+    return PlanNode(OUTPUT, [child])
 
 
-def shuffle_stage_node(child: PlanNode, **props) -> PlanNode:
-    return PlanNode(SHUFFLE, [child], props=props)
+def shuffle_stage_node(child: PlanNode) -> PlanNode:
+    return PlanNode(SHUFFLE, [child])
 
 
 # ------------------------------------------------------------- fragmentation
@@ -147,33 +111,43 @@ class RemoteSourceRef:
 
 @dataclass
 class Fragment:
-    """One stage's plan fragment plus its remote-source wiring."""
+    """One stage's plan fragment plus its remote-source wiring, and the
+    stage's shape, derived once from its nodes: how the stage may be tuned."""
 
     stage_id: int
     root: PlanNode
     sources: list[RemoteSourceRef] = field(default_factory=list)
+    #: a progress indicator (§5.2): the stage reads a table.
+    is_scan: bool = field(init=False)
+    #: the stage holds a hash join, rebuilt on a DOP change (§4.5) ...
+    has_join: bool = field(init=False)
+    #: ... a partitioned one, which switches to a new task group.
+    partitioned: bool = field(init=False)
+    #: a dedicated shuffle stage (§4.6).
+    is_shuffle: bool = field(init=False)
+    #: §4.1: a final aggregation or top-N pins the stage to one task. A
+    #: join build is stateful too, but a DOP change rebuilds it (§4.5).
+    pinned: bool = field(init=False)
+    #: the probe source of a join, else the fragment's one input; None
+    #: when only a table feeds the main input (a scan).
+    main_source: Optional[RemoteSourceRef] = field(init=False)
+    build_source: Optional[RemoteSourceRef] = field(init=False)
+
+    def __post_init__(self) -> None:
+        kinds = [n.kind for n in self.root.walk()]
+        joins = self.root.find(HASH_JOIN)
+        if len(joins) > 1:
+            raise ValueError(f"stage {self.stage_id}: at most one join per fragment supported")
+        self.is_scan = TABLE_SCAN in kinds
+        self.has_join = bool(joins)
+        self.partitioned = bool(joins and joins[0].props.get("partitioned"))
+        self.is_shuffle = SHUFFLE in kinds
+        self.pinned = FINAL_AGG in kinds or TOPN in kinds
+        self.main_source = next((s for s in self.sources if s.role != "build"), None)
+        self.build_source = next((s for s in self.sources if s.role == "build"), None)
 
     def source_stage_ids(self) -> list[int]:
         return [s.child_stage_id for s in self.sources]
-
-    def probe_source(self) -> Optional[RemoteSourceRef]:
-        return next((s for s in self.sources if s.role == "probe"), None)
-
-    def build_source(self) -> Optional[RemoteSourceRef]:
-        return next((s for s in self.sources if s.role == "build"), None)
-
-    def has_join(self) -> bool:
-        return bool(self.root.find(HASH_JOIN) or self.root.find(CROSS_JOIN))
-
-    def is_scan(self) -> bool:
-        return bool(self.root.find(TABLE_SCAN))
-
-    def is_shuffle(self) -> bool:
-        return bool(self.root.find(SHUFFLE))
-
-    def scan_table(self) -> Optional[str]:
-        scans = self.root.find(TABLE_SCAN)
-        return scans[0].name if scans else None
 
 
 @dataclass
@@ -250,7 +224,7 @@ def fragment_plan(root: PlanNode, *, stage_ids: Optional[list[int]] = None) -> S
                 child_sid = build_fragment(n.children[0])
                 sources.append(RemoteSourceRef(child_sid, role))
                 return PlanNode(REMOTE_SOURCE, props={"stage_id": child_sid, "role": role})
-            if n.kind in (HASH_JOIN, CROSS_JOIN):
+            if n.kind == HASH_JOIN:
                 probe = cut(n.children[0], "probe")
                 build = cut(n.children[1], "build")
                 return PlanNode(n.kind, [probe, build], name=n.name, props=dict(n.props))

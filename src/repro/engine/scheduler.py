@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster import Cluster, RpcModel
+from repro.cluster import Cluster, Node, RpcModel
 from repro.engine.buffers import OutputBuffer
-from repro.engine.plan import HASH_JOIN, SHUFFLE, PlanNode, StageTree, pins_stage
+from repro.engine.plan import StageTree
 from repro.engine.splits import RemoteSplit
 from repro.engine.stage import Stage
 from repro.engine.task import Task
@@ -30,6 +30,9 @@ class QueryExecution:
 
     tree: StageTree
     cluster: Cluster
+    #: stage id -> the nodes its tasks are pinned to (scan stages co-located
+    #: with their table's storage nodes).
+    pinned_nodes: dict[int, list[str]] = field(default_factory=dict)
     stages: dict[int, Stage] = field(default_factory=dict)
     out_buffers: dict[int, OutputBuffer] = field(default_factory=dict)
     rpc: RpcModel = field(default_factory=RpcModel)
@@ -52,10 +55,15 @@ class QueryExecution:
     def child_stages(self, stage_id: int) -> list[Stage]:
         return [self.stages[c] for c in self.tree.children_of(stage_id)]
 
-    def final_stage_ids(self) -> set[int]:
-        """Stages whose fragment holds a final aggregation or top-N —
-        parallelism pinned to 1 (§4.1)."""
-        return {sid for sid, st in self.stages.items() if pins_stage(st.fragment.root)}
+    def place_task(self, stage: Stage) -> Node:
+        """The node for the stage's next task. A stage pinned to nodes that
+        holds k tasks puts the next one on ``pinned[k % len(pinned)]``, at
+        scheduling time and at runtime alike; any other task goes
+        round-robin on compute nodes."""
+        pinned = self.pinned_nodes.get(stage.stage_id)
+        if pinned:
+            return self.cluster.node(pinned[stage.dop % len(pinned)])
+        return self.cluster.place_task()
 
     def retire_task(self, task: Task) -> None:
         """Take a task out of the topology (§4.4 decreasing stage DOP, §4.5
@@ -80,12 +88,8 @@ def _needs_shuffle_buffer(exe: QueryExecution, stage_id: int) -> bool:
     parent_id = exe.tree.parent_of(stage_id)
     if parent_id is None:
         return False
-    pfrag = exe.tree[parent_id].root
-    return _has_partitioned_join(pfrag) or bool(pfrag.find(SHUFFLE))
-
-
-def _has_partitioned_join(root: PlanNode) -> bool:
-    return any(j.props.get("partitioned") for j in root.find(HASH_JOIN))
+    pfrag = exe.tree[parent_id]
+    return pfrag.partitioned or pfrag.is_shuffle
 
 
 def _wire_parent(exe: QueryExecution, child: Stage, task: Task) -> None:
@@ -124,8 +128,9 @@ def schedule_query(
     nodes); other stages are placed round-robin on compute nodes.
     Final-agg stages get DOP 1 (§4.1).
     """
-    exe = QueryExecution(tree=tree, cluster=cluster, rpc=rpc or RpcModel())
-    pinned_nodes = pinned_nodes or {}
+    exe = QueryExecution(
+        tree=tree, cluster=cluster, pinned_nodes=pinned_nodes or {}, rpc=rpc or RpcModel()
+    )
 
     for sid in tree.topological():  # leaves first: bottom-up
         frag = tree[sid]
@@ -133,7 +138,8 @@ def schedule_query(
         exe.stages[sid] = stage
         exe.out_buffers[sid] = OutputBuffer(shuffle=_needs_shuffle_buffer(exe, sid))
         n_tasks = stage_dop.get(sid, 1) if isinstance(stage_dop, dict) else stage_dop
-        for node in cluster.place_tasks(n_tasks, pinned=pinned_nodes.get(sid)):
+        for _ in range(n_tasks):
+            node = exe.place_task(stage)
             task = stage.new_task(node.node_id)
             task.set_dop(task_dop)
             node.add_drivers(task.dop)
@@ -145,8 +151,9 @@ def schedule_query(
         exe.charge_rpc(8 * n_tasks + 2)
 
     # Final stages: force DOP 1 after generic construction (§4.1).
-    for sid in exe.final_stage_ids():
-        stage = exe.stages[sid]
+    for stage in exe.stages.values():
+        if not stage.fragment.pinned:
+            continue
         while stage.dop > 1:
             exe.retire_task(stage.tasks[-1])
         for t in stage.tasks:
@@ -174,7 +181,7 @@ class DynamicScheduler:
         stage = self.exe.stages[stage_id]
         if n < 1:
             raise ValueError(f"task DOP must be >= 1, got {n}")
-        if stage_id in self.exe.final_stage_ids() and n != 1:
+        if stage.fragment.pinned and n != 1:
             raise ValueError(f"stage {stage_id} holds a final agg; task DOP pinned to 1")
         for task in stage.tasks:
             old = task.dop
@@ -187,24 +194,21 @@ class DynamicScheduler:
         return self.exe.charge_rpc(len(stage.tasks))
 
     # ------------------------------------------------------ intra-stage (§4.4)
-    def add_tasks(self, stage_id: int, n: int, *, pinned: list[str] | None = None) -> tuple[list[Task], float]:
+    def add_tasks(self, stage_id: int, n: int) -> tuple[list[Task], float]:
         """§4.4 Increasing stage DOP: (1) generate new tasks, (2) hand their
         addresses to parent-stage tasks, (3) set child-stage addresses on
         them. Returns (new tasks, control latency)."""
         stage = self.exe.stages[stage_id]
         if n < 1:
             raise ValueError(f"must add at least one task, got {n}")
-        if stage_id in self.exe.final_stage_ids():
+        if stage.fragment.pinned:
             raise ValueError(f"stage {stage_id} holds a final agg; stage DOP pinned to 1")
         task_dop = stage.task_dop or 1
         # §4.5: a partitioned join grows by switching to a new task group.
-        switch = _has_partitioned_join(stage.fragment.root)
+        switch = stage.fragment.partitioned
         new_tasks: list[Task] = []
         for i in range(n):
-            if pinned:
-                node = self.exe.cluster.node(pinned[(stage.dop + i) % len(pinned)])
-            else:
-                node = self.exe.cluster.place_task()
+            node = self.exe.place_task(stage)
             task = stage.new_task(node.node_id)
             task.set_dop(task_dop)
             node.add_drivers(task.dop)

@@ -31,7 +31,7 @@ class Stage:
         return self.tasks[0].dop if self.tasks else 0
 
     def new_task(self, node_id: str) -> Task:
-        t = Task(self.stage_id, self._next_seq, node_id, self.fragment)
+        t = Task(self.stage_id, self._next_seq, node_id)
         self._next_seq += 1
         self.tasks.append(t)
         return t
@@ -39,18 +39,6 @@ class Stage:
     def remove_task(self, task: Task) -> None:
         self.tasks.remove(task)
 
-    def task_by_id(self, task_id: str) -> Task:
-        for t in self.tasks:
-            if t.task_id == task_id:
-                return t
-        raise KeyError(task_id)
-
-    def total_drivers(self) -> int:
-        return sum(t.dop for t in self.tasks)
-
     def set_task_dop(self, n: int) -> None:
         for t in self.tasks:
             t.set_dop(n)
-
-    def node_ids(self) -> list[str]:
-        return [t.node_id for t in self.tasks]

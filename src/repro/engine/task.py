@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.plan import Fragment
 from repro.engine.splits import RemoteSplit, RemoteSplitSet
 
 
@@ -30,7 +29,6 @@ class Task:
     stage_id: int
     seq: int
     node_id: str
-    fragment: Fragment
     #: driver count — the task DOP (§4.3).
     dop: int = 1
     remote_splits: RemoteSplitSet = field(default_factory=RemoteSplitSet)

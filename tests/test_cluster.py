@@ -10,6 +10,8 @@ from repro.cluster import (
     RpcModel,
     calibration as cal,
 )
+from repro.engine import plan as P
+from repro.engine.scheduler import schedule_query
 
 
 class TestNode:
@@ -37,7 +39,7 @@ class TestCluster:
         assert len(c.nodes) == 21
         assert c.coordinator.role == COORDINATOR
         assert len(c.compute_nodes()) == 10
-        assert len(c.storage_nodes()) == 10
+        assert sum(n.role == STORAGE for n in c.nodes) == 10
 
     def test_testbed_node_specs_match_c5_2xlarge(self):
         c = Cluster.presto_testbed()
@@ -56,9 +58,11 @@ class TestCluster:
             assert c.place_task().role == COMPUTE
 
     def test_pinned_placement(self):
-        c = Cluster.presto_testbed()
-        picked = c.place_tasks(3, pinned=["storage0", "storage1"])
-        assert [n.node_id for n in picked] == ["storage0", "storage1", "storage0"]
+        # the scheduler cycles a pinned stage's tasks through its nodes
+        tree = P.fragment_plan(P.output(P.exchange(P.scan("t"))))
+        exe = schedule_query(tree, Cluster.presto_testbed(), stage_dop=3,
+                             pinned_nodes={1: ["storage0", "storage1"]})
+        assert [t.node_id for t in exe.stages[1].tasks] == ["storage0", "storage1", "storage0"]
 
     def test_node_lookup_error(self):
         c = Cluster.presto_testbed()
@@ -67,7 +71,7 @@ class TestCluster:
 
     def test_storage_roles(self):
         c = Cluster.presto_testbed()
-        assert all(n.role == STORAGE for n in c.storage_nodes())
+        assert all(c.node(f"storage{i}").role == STORAGE for i in range(10))
 
 
 class TestRpc:

@@ -5,8 +5,8 @@ from repro.engine import plan as P
 from repro.core import AutoTuner, RuntimeInfoCollector, ScriptExecutor, rate_at
 from repro.engine.exec_sim import ByteElasticBuffer, SimExecutor, SimQuery, StageCost
 from repro.engine.plan import fragment_plan
-from repro.experiments import q2j_switching, q3_intratask
-from repro.queries.tpch import QUERIES
+from repro.experiments import elastic_shuffle, q2j_switching, q3_intrastage, q3_intratask
+from repro.queries.tpch import QUERIES, qshuf_sim
 
 GB = 1e9
 MB = 1e6
@@ -14,7 +14,7 @@ MB = 1e6
 
 def linear_query(scan_bytes=1 * GB, rate=100.0, sel=1e-6):
     """S0 final agg <- S1 scan(+partial agg)."""
-    pl = P.output(P.final_agg(P.exchange(P.partial_agg(P.scan("t"), selectivity=sel))))
+    pl = P.output(P.final_agg(P.exchange(P.partial_agg(P.scan("t")))))
     tree = fragment_plan(pl)
     costs = {
         0: StageCost(per_driver_rate_mb_s=400.0),
@@ -383,9 +383,18 @@ def _assert_topology_consistent(ex):
         seqs = sorted(t.seq for t in parent.tasks) if parent is not None else []
         assert sorted(buf.buffer_ids) == seqs, sid
         assert all(buf.groups), sid  # no empty task group left behind
-    for st in ex.states.values():
+    for sid, st in ex.states.items():
         if st.partitioned and not st.ended:
-            assert ex._probing_tasks(st), st.stage.stage_id  # never an empty probe side
+            assert ex._probing_tasks(st), sid  # never an empty probe side
+        # bytes are conserved on every edge: what the feeders produced was
+        # consumed or still sits in the buffer
+        sources = ex.query.tree[sid].sources
+        fed = sum(ex.states[s.child_stage_id].produced for s in sources if s.role != "build")
+        built = sum(ex.states[s.child_stage_id].produced for s in sources if s.role == "build")
+        if not st.is_scan:
+            assert fed == pytest.approx(st.consumed + st.in_buf.level, rel=1e-9), sid
+        if st.has_join:
+            assert built == pytest.approx(st.build_received + st.build_buf.level, rel=1e-9), sid
 
 
 class TestTopology:
@@ -408,6 +417,16 @@ class TestTopology:
         for ptask in ex.exe.stages[0].tasks:
             assert retired.isdisjoint(s.task_id for s in ptask.upstream_addresses())
 
+    def test_pinned_scan_stage_grows_on_its_nodes(self):
+        # QSHUF stores orders (S2) on storage0/storage1 (§6.4.2): the tasks
+        # a DOP increase adds stay on those nodes
+        ex = SimExecutor(qshuf_sim(), stage_dop=2)
+        assert ex.set_stage_dop(2, 4).applied
+        nodes = [t.node_id for t in ex.exe.stages[2].tasks]
+        assert nodes == ["storage0", "storage1", "storage0", "storage1"]
+        assert [ex.cluster.node(n).active_drivers for n in ("storage0", "storage1")] == [2, 2]
+        _assert_topology_consistent(ex)
+
     def test_task_dop_below_one_rejected(self):
         ex = SimExecutor(QUERIES["Q3"].sim_query())
         out = ex.set_task_dop(1, 0)
@@ -425,11 +444,13 @@ class TestTopology:
         assert ex.run() > 0  # the stage still has a task to finish it
 
     @pytest.mark.parametrize("query,stage_dop,script", [
-        ("Q3", 1, q3_intratask.SCRIPT),
-        ("Q2J", 2, q2j_switching.SCRIPT),
-    ], ids=["Q3-E1", "Q2J-E3"])
+        (QUERIES["Q3"].sim_query, 1, q3_intratask.SCRIPT),
+        (QUERIES["Q3"].sim_query, 1, q3_intrastage.Q3_SCRIPT),
+        (QUERIES["Q2J"].sim_query, 2, q2j_switching.SCRIPT),
+        (lambda: qshuf_sim(with_shuffle_stage=True), 2, elastic_shuffle.SCRIPT),
+    ], ids=["Q3-E1", "Q3-E2", "Q2J-E3", "QSHUF-E4"])
     def test_invariants_hold_through_scripted_run(self, query, stage_dop, script):
-        ex = SimExecutor(QUERIES[query].sim_query(), stage_dop=stage_dop)
+        ex = SimExecutor(query(), stage_dop=stage_dop)
         sc = ScriptExecutor.from_text(script)
         ex.run(controllers=[sc.controller(AutoTuner(ex)), lambda t, e: _assert_topology_consistent(e)])
         assert sc.applied()

@@ -1,4 +1,4 @@
-"""§4.1 operator classification, and the operator semantics the executor
+"""§4.1 stage pinning, and the operator semantics the executor
 keeps: a fragment's operators fold into its stage, which streams
 ``selectivity x input`` downstream and relays the end once its input has
 ended and drained; a join build is a sink that fills the hash table."""
@@ -6,7 +6,6 @@ import pytest
 
 from repro.engine import plan as P
 from repro.engine.exec_sim import SimExecutor, SimQuery, StageCost
-from repro.engine.plan import STATEFUL_KINDS, STATELESS_KINDS, is_stateless, pins_stage
 
 GB = 1e9
 
@@ -28,37 +27,18 @@ def step_until(ex, cond, max_s=1e4):
 
 
 class TestClassification:
-    @pytest.mark.parametrize("kind", sorted(STATELESS_KINDS))
-    def test_stateless_kinds(self, kind):
-        assert is_stateless(kind)
-
-    @pytest.mark.parametrize("kind", sorted(STATEFUL_KINDS))
-    def test_stateful_kinds(self, kind):
-        assert not is_stateless(kind)
-
-    def test_unclassified_raises(self):
-        with pytest.raises(ValueError):
-            is_stateless("mystery")
-
-    def test_paper_s41_stateless_set(self):
-        # §4.1: filter, project, sink, source, exchange, task output, table
-        # scan are stateless; partial agg is treated stateless.
-        for k in ("filter", "project", "sink", "source", "exchange",
-                  "task_output", "table_scan", "partial_agg"):
-            assert is_stateless(k)
-
-    def test_paper_s41_stateful_set(self):
-        for k in ("final_agg", "build"):
-            assert not is_stateless(k)
-
     def test_final_agg_and_topn_pin_their_stage(self):
         # a join build is stateful too, but it is rebuilt on a DOP change
         # (§4.5) instead of pinning the stage
         scan = P.scan("t")
-        assert pins_stage(P.output(P.final_agg(scan)))
-        assert pins_stage(P.topn(scan))
-        assert not pins_stage(P.hash_join(scan, P.scan("u"), partitioned=True))
-        assert not pins_stage(P.partial_agg(P.filter_(scan)))
+
+        def pinned(root):
+            return P.Fragment(0, root).pinned
+
+        assert pinned(P.output(P.final_agg(scan)))
+        assert pinned(P.topn(scan))
+        assert not pinned(P.hash_join(scan, P.scan("u"), partitioned=True))
+        assert not pinned(P.partial_agg(P.filter_(scan)))
 
 
 class TestStatelessOperator:

@@ -44,9 +44,9 @@ class TestFragmentationProperties:
         # every join fragment has exactly one probe and one build source
         for sid in ids:
             frag = tree[sid]
-            if frag.has_join():
-                assert frag.probe_source() is not None
-                assert frag.build_source() is not None
+            if frag.has_join:
+                assert frag.main_source is not None
+                assert frag.build_source is not None
 
 
 class TestSplitProperties:

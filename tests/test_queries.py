@@ -48,8 +48,9 @@ class TestSimSpecs:
         q = QUERIES[name].sim_query()
         for sid in q.tree.stage_ids():
             frag = q.tree[sid]
-            if frag.is_scan():
-                assert q.costs[sid].scan_bytes == sf100_bytes(frag.scan_table())
+            if frag.is_scan:
+                table = frag.root.find("table_scan")[0].name
+                assert q.costs[sid].scan_bytes == sf100_bytes(table)
 
     def test_q3_expected_volumes(self):
         q = QUERIES["Q3"].sim_query()
@@ -66,7 +67,7 @@ class TestSimSpecs:
         plain = qshuf_sim()
         shuf = qshuf_sim(with_shuffle_stage=True)
         assert len(shuf.tree.stage_ids()) == len(plain.tree.stage_ids()) + 1
-        assert shuf.tree[2].is_shuffle()
+        assert shuf.tree[2].is_shuffle
         assert shuf.costs[2].per_task_rate
         # orders pinned to exactly two storage nodes in both (§6.4.2)
         assert plain.pinned_nodes[2] == ["storage0", "storage1"]
@@ -89,8 +90,8 @@ class TestSimSpecs:
         assert unused == []
 
     def test_partitioned_flags(self):
-        assert QUERIES["Q2J"].sim_query().tree[1].root.find("hash_join")[0].props["partitioned"]
-        assert not QUERIES["Q3"].sim_query().tree[1].root.find("hash_join")[0].props["partitioned"]
+        assert QUERIES["Q2J"].sim_query().tree[1].partitioned
+        assert not QUERIES["Q3"].sim_query().tree[1].partitioned
 
 
 class TestCatalog:

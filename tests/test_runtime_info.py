@@ -29,7 +29,7 @@ class TestCollector:
     def test_scan_stages_listed(self):
         ex = SimExecutor(join_query(partitioned=False))
         info = RuntimeInfoCollector(ex).collect()
-        assert {s.stage_id for s in info.scan_stages()} == {2, 3}
+        assert {s.stage_id for s in info.stages.values() if s.is_scan} == {2, 3}
 
     def test_progress_fraction(self):
         ex = SimExecutor(linear_query(scan_bytes=1 * GB))

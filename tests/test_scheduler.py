@@ -48,7 +48,7 @@ class TestScheduleQuery:
         tree = fragment_plan(q2j_plan())
         exe = schedule_query(tree, Cluster.presto_testbed(), stage_dop=2,
                              pinned_nodes={2: ["storage0", "storage1"]})
-        assert exe.stages[2].node_ids() == ["storage0", "storage1"]
+        assert [t.node_id for t in exe.stages[2].tasks] == ["storage0", "storage1"]
 
     def test_bottom_up_wiring(self):
         # parent tasks hold the addresses of all child-stage tasks

@@ -1,8 +1,6 @@
 """Tests for tasks and stages (repro.engine.task / stage)."""
 from dataclasses import replace
 
-import pytest
-
 from repro.core import RuntimeInfoCollector, consumed_between, rate_at
 from repro.engine import plan as P
 from repro.engine.exec_sim import SimExecutor
@@ -12,25 +10,25 @@ from repro.engine.task import Task
 from tests.test_exec_sim import linear_query
 
 
-def _scan_fragment(sid=2):
-    return P.Fragment(stage_id=sid, root=P.scan("lineitem"))
+def _scan_fragment():
+    return P.Fragment(stage_id=2, root=P.scan("lineitem"))
 
 
 class TestTask:
     def test_task_id_naming(self):
         # §2: task ID = stage number + task sequence number (e.g. task3_2)
-        t = Task(3, 2, "compute0", _scan_fragment(3))
+        t = Task(3, 2, "compute0")
         assert t.task_id == "task3_2"
         assert "compute0" in t.url
 
     def test_set_dop_spawns_and_closes_drivers(self):
-        t = Task(2, 0, "compute0", _scan_fragment())
+        t = Task(2, 0, "compute0")
         assert t.set_dop(4) == 4
         assert t.dop == 4
         assert t.set_dop(2) == 2
 
     def test_remote_split_wiring(self):
-        t = Task(1, 0, "compute0", _scan_fragment(1))
+        t = Task(1, 0, "compute0")
         t.add_upstream(RemoteSplit("http://c1/task2_0", "task2_0"))
         t.add_upstream(RemoteSplit("http://c2/task2_1", "task2_1"))
         assert len(t.upstream_addresses()) == 2
@@ -38,7 +36,7 @@ class TestTask:
         assert [s.task_id for s in t.upstream_addresses()] == ["task2_1"]
 
     def test_context_defaults(self):
-        t = Task(2, 0, "compute0", _scan_fragment())
+        t = Task(2, 0, "compute0")
         assert not t.context.finished
 
 
@@ -48,7 +46,7 @@ class TestStage:
         s.new_task("compute0")
         s.new_task("compute1")
         assert s.dop == 2
-        assert s.node_ids() == ["compute0", "compute1"]
+        assert [t.node_id for t in s.tasks] == ["compute0", "compute1"]
 
     def test_task_seq_monotonic_across_removal(self):
         s = Stage(2, _scan_fragment())
@@ -63,14 +61,7 @@ class TestStage:
         s.new_task("compute1")
         s.set_task_dop(3)
         assert s.task_dop == 3
-        assert s.total_drivers() == 6
-
-    def test_task_by_id(self):
-        s = Stage(2, _scan_fragment())
-        t = s.new_task("compute0")
-        assert s.task_by_id(t.task_id) is t
-        with pytest.raises(KeyError):
-            s.task_by_id("task9_9")
+        assert sum(t.dop for t in s.tasks) == 6
 
     def test_empty_stage(self):
         s = Stage(2, _scan_fragment())
