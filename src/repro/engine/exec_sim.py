@@ -19,6 +19,13 @@ the paper's evaluation depends on:
   a new task group (reshuffle of the cached build side + build, Table 2)
   while the old group keeps probing (Fig. 26), then retires the old group.
 
+A stage's rates are piecewise-constant: its tasks' input capacity and
+output shuffle cap change only when a task or driver count changes (which
+also moves the CPU share of every stage on the same nodes) or when a
+rebuilt task starts probing. Each stage caches its per-tick rates and
+refills them after a topology change or at its next activation; a tick
+steps only the stages that have not ended.
+
 Data moves only as byte volumes here. The engine keeps the *topology*
 beside it: stages, tasks with their driver counts, output-buffer ID groups
 and remote split sets. The dynamic scheduler updates that topology on every
@@ -133,6 +140,10 @@ class ByteElasticBuffer:
         if now - self._last_resize < cal.BUFFER_RESIZE_INTERVAL_S:
             return
         self._last_resize = now
+        self.resize()
+
+    def resize(self) -> None:
+        """The 500 ms resize: capacity follows the recent consumption."""
         self.capacity = max(float(DEFAULT_PAGE_BYTES), 1.2 * self.consumed_since_resize)
         self.consumed_since_resize = 0.0
 
@@ -173,6 +184,11 @@ class _StageState:
     #: partitioned joins: the DOP switch in flight; when it completes,
     #: every task outside its new group is retired.
     pending_switch: RebuildOp | None = None
+    #: the probing tasks' per-tick (input capacity, output shuffle cap) in
+    #: bytes. Rates are piecewise-constant: None after a topology change,
+    #: and stale from ``rates_until``, the next ``active_from`` after the fill.
+    rates: tuple[float, float] | None = None
+    rates_until: float = 0.0
     #: the parent's buffer this stage pushes into (None at the root), and
     #: every stage feeding that buffer (the end page waits for all of them).
     out_buf: ByteElasticBuffer | None = None
@@ -249,7 +265,16 @@ class SimExecutor:
             st.expected_in = query.expected_input_bytes(sid)
             st.expected_build = query.expected_build_bytes(sid)
             self.states[sid] = st
-        self._topo = query.tree.topological()
+        #: the stages not yet ended, children before parents.
+        self._live = [self.states[sid] for sid in query.tree.topological()]
+        self._root = self.states[query.tree.root_id]
+        #: every buffer is made at t = 0 and resized on one 500 ms clock.
+        self._buffers = [
+            b for st in self.states.values() for b in (st.in_buf, st.build_buf) if b is not None
+        ]
+        self._last_resize = 0.0
+        #: a partitioned DOP switch may be in flight.
+        self._switching = False
         for sid, pst in self.states.items():
             for build in (False, True):
                 feeders = [
@@ -284,10 +309,23 @@ class SimExecutor:
             return float("inf")
         return len(tasks) * cal.mb_s(st.cost.out_shuffle_rate_mb_s)
 
-    def _step_stage(self, sid: int) -> None:
-        st = self.states[sid]
-        if st.ended:
-            return
+    def _fill_rates(self, st: _StageState) -> tuple[float, float]:
+        """Cache the stage's per-tick rates until its next activation."""
+        tasks = self._probing_tasks(st)
+        st.rates = (
+            self._input_bytes_s(st, tasks) * self.dt,
+            self._shuffle_bytes_s(st, tasks) * self.dt,
+        )
+        st.rates_until = min((a for a in st.active_from.values() if a > self.t), default=float("inf"))
+        return st.rates
+
+    def _topology_changed(self) -> None:
+        """Empty every stage's rates: a task or driver count changed, and
+        with it the CPU share of every stage on the nodes involved."""
+        for st in self.states.values():
+            st.rates = None
+
+    def _step_stage(self, st: _StageState) -> None:
         # ---- join build phase: ingest the build side ----------------------
         if st.has_join and not st.built:
             n_tasks = max(1, len(st.stage.tasks))
@@ -299,16 +337,15 @@ class SimExecutor:
                 st.built = True
                 st.build_done_at = self.t
         # ---- main (probe) flow -------------------------------------------
-        tasks = self._probing_tasks(st)
-        capacity = 0.0
-        if st.built:
-            capacity = self._input_bytes_s(st, tasks) * self.dt
+        rates = st.rates
+        if rates is None or self.t >= st.rates_until:
+            rates = self._fill_rates(st)
+        in_cap, out_cap = rates
         sel = st.cost.selectivity
-        limit = capacity
+        limit = in_cap if st.built else 0.0
         free = float("inf") if st.out_buf is None else st.out_buf.free()
         if sel > 0 and free < float("inf"):
             limit = min(limit, free / sel)
-        out_cap = self._shuffle_bytes_s(st, tasks) * self.dt
         shuffle_bound = False
         if sel > 0 and out_cap < float("inf"):
             if out_cap / sel < limit:
@@ -335,6 +372,7 @@ class SimExecutor:
         if input_done and st.built:
             st.ended = True
             st.end_at = self.t
+            self._live = [s for s in self._live if s is not st]
             # A switch still in flight when the probe finishes is moot —
             # the filter should have rejected it (§5.2); drop it.
             st.pending_switch = None
@@ -353,27 +391,29 @@ class SimExecutor:
                 new = set(op.new_task_ids)
                 for task in [t for t in st.stage.tasks if t.task_id not in new]:
                     self.exe.retire_task(task)
+                self._topology_changed()
                 self.state_transfers.append(op)
                 st.pending_switch = None
+        self._switching = any(st.pending_switch is not None for st in self.states.values())
 
     # ------------------------------------------------------------------ step
     def step(self) -> None:
         if self.done:
             return
         self.t += self.dt
-        self._process_pending()
-        for sid in self._topo:
-            self._step_stage(sid)
-        for st in self.states.values():
-            st.in_buf.tick(self.t)
-            if st.build_buf is not None:
-                st.build_buf.tick(self.t)
+        if self._switching:
+            self._process_pending()
+        for st in self._live:  # a stage that ends rebinds _live, not this list
+            self._step_stage(st)
+        if self.t - self._last_resize >= cal.BUFFER_RESIZE_INTERVAL_S:
+            self._last_resize = self.t
+            for buf in self._buffers:
+                buf.resize()
         if self.t - self._last_sample >= self._sample_every:
             for st in self.states.values():
                 st.cum_consumed_samples.append((self.t, st.consumed))
             self._last_sample = self.t
-        root = self.states[self.query.tree.root_id]
-        if root.ended:
+        if self._root.ended:
             self.done = True
             self.total_time_s = self.t + self.exe.init_time_s
 
@@ -398,6 +438,8 @@ class SimExecutor:
             latency = self.sched.set_task_dop(stage_id, n)
         except ValueError as exc:
             return TuningOutcome(False, str(exc))
+        finally:
+            self._topology_changed()
         return TuningOutcome(True, latency_s=latency)
 
     def set_stage_dop(self, stage_id: int, n: int) -> TuningOutcome:
@@ -416,6 +458,9 @@ class SimExecutor:
 
     def _resize_stage(self, st: _StageState, n: int, cur: int) -> TuningOutcome:
         stage_id = st.stage.stage_id
+        # rates refill on the next step, after every path below has applied
+        # its change or been rejected
+        self._topology_changed()
         if st.partitioned and st.pending_switch is not None:
             return TuningOutcome(False, "DOP switch already in progress")
         if n < cur and not st.partitioned:
@@ -435,6 +480,7 @@ class SimExecutor:
             st.active_from[t.task_id] = op.done_at
         if st.partitioned:
             st.pending_switch = op
+            self._switching = True
         return TuningOutcome(True, latency_s=latency, rebuild=op)
 
     # ------------------------------------------------------- runtime queries

@@ -46,6 +46,15 @@ class MicrobatchRun:
     batch_dops: list[int] = field(default_factory=list)
     #: observed partition counts of each partial (post-AQE).
     batch_partitions: list[int] = field(default_factory=list)
+    #: the stored per-batch partials that ``result`` reads.
+    partials: list[DataFrame] = field(default_factory=list, repr=False)
+
+    def release(self) -> None:
+        """Free the stored partials. Call it once done with ``result``,
+        which cannot be read afterwards."""
+        for part in self.partials:
+            _release(part)
+        self.partials.clear()
 
 
 def script_to_dop_schedule(actions: list[ScriptAction], *, initial_dop: int = 2) -> list[int]:
@@ -92,7 +101,7 @@ def run_microbatch(
     batch filters its hash slice of the stored probe, and each batch's
     partial is materialized under that batch's DOP. The probe and build
     copies are freed before returning; the partials stay for ``result``,
-    which merges their union.
+    which merges their union, until ``MicrobatchRun.release()``.
     """
     qdef = QUERIES.get(query)
     if qdef is None or qdef.probe_table is None:
@@ -118,7 +127,6 @@ def run_microbatch(
     run = MicrobatchRun(result=None, n_batches=n_batches)  # type: ignore[arg-type]
     batch_of = F.pmod(F.abs(F.hash(F.col(BATCH_KEYS[probe]))), F.lit(n_batches))
     inputs: dict[str, DataFrame] = {}
-    partials: list[DataFrame] = []
     try:
         for t in qdef.tables:
             # Stored once, so no batch rescans a source or re-plans its
@@ -136,15 +144,14 @@ def run_microbatch(
             # Materialize under the current DOP — this is the point where
             # the runtime parallelism choice actually takes effect.
             part = qdef.partial({**inputs, probe: batch}).localCheckpoint(eager=True)
-            partials.append(part)
+            run.partials.append(part)
             run.batch_partitions.append(part.rdd.getNumPartitions())
     except BaseException:
-        for part in partials:
-            _release(part)
+        run.release()
         raise
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", old_dop)
         for df in inputs.values():
             _release(df)
-    run.result = qdef.merge(reduce(DataFrame.unionByName, partials))
+    run.result = qdef.merge(reduce(DataFrame.unionByName, run.partials))
     return run

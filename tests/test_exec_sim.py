@@ -1,6 +1,12 @@
 """Behavioural tests for the discrete-time executor (repro.engine.exec_sim)."""
+import ast
+import math
+from pathlib import Path
+
 import pytest
 
+from repro.cluster import Cluster
+from repro.engine import exec_sim
 from repro.engine import plan as P
 from repro.core import AutoTuner, RuntimeInfoCollector, ScriptExecutor, rate_at
 from repro.engine.exec_sim import ByteElasticBuffer, SimExecutor, SimQuery, StageCost
@@ -346,6 +352,22 @@ class TestRuntimeQueries:
         assert total == pytest.approx(ex.t + ex.exe.init_time_s)
 
 
+class TestStepSizeConvergence:
+    """Simulated time converges as dt -> 0 (ROADMAP item 3's gate): the
+    fixed step only delays each event to the next tick."""
+
+    @pytest.mark.parametrize("name,stage_dop", [("Q3", 1), ("Q2J", 2), ("Q5", 1)])
+    def test_converges_as_dt_shrinks(self, name, stage_dop):
+        t = {dt: SimExecutor(QUERIES[name].sim_query(), stage_dop=stage_dop, dt=dt).run()
+             for dt in (0.1, 0.02, 0.01)}
+        assert abs(t[0.02] - t[0.01]) <= abs(t[0.1] - t[0.01])
+        assert t[0.1] == pytest.approx(t[0.01], rel=0.005)
+
+    @pytest.mark.parametrize("dt", [0.5, 0.1, 0.02, 0.01])
+    def test_q1_does_not_depend_on_dt(self, dt):
+        assert SimExecutor(QUERIES["Q1"].sim_query(), dt=dt).run() == pytest.approx(185.14, abs=0.005)
+
+
 class TestByteElasticBuffer:
     def test_starvation_grows_capacity(self):
         b = ByteElasticBuffer()
@@ -378,23 +400,32 @@ def _assert_topology_consistent(ex):
     exe = ex.exe
     tasks = [t for stage in exe.stages.values() for t in stage.tasks]
     assert sum(n.active_drivers for n in exe.cluster.nodes) == sum(t.dop for t in tasks)
-    for sid, buf in exe.out_buffers.items():
-        parent = exe.parent_stage(sid)
-        seqs = sorted(t.seq for t in parent.tasks) if parent is not None else []
-        assert sorted(buf.buffer_ids) == seqs, sid
-        assert all(buf.groups), sid  # no empty task group left behind
+    root_buf = exe.out_buffers[ex.query.tree.root_id]
+    assert root_buf.buffer_ids == [] and all(root_buf.groups)
     for sid, st in ex.states.items():
+        sources = ex.query.tree[sid].sources
+        # each child's output buffer serves exactly this stage's tasks
+        seqs = sorted(t.seq for t in st.stage.tasks)
+        for s in sources:
+            buf = exe.out_buffers[s.child_stage_id]
+            assert sorted(buf.buffer_ids) == seqs, s.child_stage_id
+            assert all(buf.groups), s.child_stage_id  # no empty task group left behind
         if st.partitioned and not st.ended:
             assert ex._probing_tasks(st), sid  # never an empty probe side
         # bytes are conserved on every edge: what the feeders produced was
         # consumed or still sits in the buffer
-        sources = ex.query.tree[sid].sources
         fed = sum(ex.states[s.child_stage_id].produced for s in sources if s.role != "build")
         built = sum(ex.states[s.child_stage_id].produced for s in sources if s.role == "build")
         if not st.is_scan:
-            assert fed == pytest.approx(st.consumed + st.in_buf.level, rel=1e-9), sid
+            assert math.isclose(fed, st.consumed + st.in_buf.level, rel_tol=1e-9, abs_tol=1e-12), sid
         if st.has_join:
-            assert built == pytest.approx(st.build_received + st.build_buf.level, rel=1e-9), sid
+            assert math.isclose(built, st.build_received + st.build_buf.level,
+                                rel_tol=1e-9, abs_tol=1e-12), sid
+        # a stage's cached rates are exactly what its probing tasks give now
+        if st.rates is not None and ex.t < st.rates_until:
+            tasks = ex._probing_tasks(st)
+            fresh = (ex._input_bytes_s(st, tasks) * ex.dt, ex._shuffle_bytes_s(st, tasks) * ex.dt)
+            assert st.rates == fresh, sid
 
 
 class TestTopology:
@@ -427,6 +458,21 @@ class TestTopology:
         assert [ex.cluster.node(n).active_drivers for n in ("storage0", "storage1")] == [2, 2]
         _assert_topology_consistent(ex)
 
+    def test_retirement_refreshes_the_rates_of_every_stage(self):
+        # two compute nodes at 8 drivers per task are oversubscribed, so
+        # retiring S1's old group raises the CPU share of the other stages
+        # on those nodes
+        ex = SimExecutor(QUERIES["Q2J"].sim_query(), cluster=Cluster.presto_testbed(n_compute=2),
+                         stage_dop=2, task_dop=8)
+
+        def ctrl(t, e):
+            if abs(t - 60.0) < e.dt / 2:
+                assert e.set_stage_dop(1, 4).applied
+            _assert_topology_consistent(e)
+        ex.run(controllers=[ctrl])
+        assert len(ex.state_transfers) == 1
+        _assert_topology_consistent(ex)
+
     def test_task_dop_below_one_rejected(self):
         ex = SimExecutor(QUERIES["Q3"].sim_query())
         out = ex.set_task_dop(1, 0)
@@ -455,3 +501,39 @@ class TestTopology:
         ex.run(controllers=[sc.controller(AutoTuner(ex)), lambda t, e: _assert_topology_consistent(e)])
         assert sc.applied()
         _assert_topology_consistent(ex)
+
+
+def topology_writers(source: str) -> dict[str, bool]:
+    """Each function in ``source`` that changes the topology, by reading
+    ``self.sched`` or ``self.exe.retire_task`` -> whether it also calls
+    ``self._topology_changed()``."""
+    writers = {}
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        reads = {ast.unparse(n) for n in ast.walk(fn)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+        if reads & {"self.sched", "self.exe.retire_task"}:
+            calls = {ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)}
+            writers[fn.name] = "self._topology_changed" in calls
+    return writers
+
+
+class TestRateCacheGuard:
+    """A stage's cached rates stay valid only if every topology change
+    empties them: each ``SimExecutor`` path to the scheduler or to a task
+    retirement calls ``_topology_changed()``."""
+
+    def test_every_topology_change_empties_the_rates(self):
+        writers = topology_writers(Path(exec_sim.__file__).read_text())
+        assert writers, "the detector found no topology change"
+        assert [name for name, ok in writers.items() if not ok] == []
+
+    def test_detector_flags_a_path_without_the_call(self):
+        src = (
+            "def grow(self):\n    self.sched.add_tasks(1, 2)\n"
+            "def aliased(self):\n    sched = self.sched\n    sched.remove_tasks(1, 1)\n"
+            "def retire(self, t):\n    self.exe.retire_task(t)\n    self._topology_changed()\n"
+            "def build(self):\n    self.sched = None\n"
+        )
+        assert topology_writers(src) == {"grow": False, "aliased": False, "retire": True}

@@ -115,11 +115,12 @@ class TestInputsReadOnce:
 
     def test_no_copies_left_across_runs(self, spark, tables):
         before = _persisted_rdds(spark)
-        runs = [run_microbatch(spark, "Q2J", tables, n_batches=2) for _ in range(3)]
-        # Only the partials a live result still reads may stay persisted.
-        assert len(_persisted_rdds(spark) - before) <= sum(r.n_batches for r in runs)
-        for r in runs:
-            r.result.collect()
+        for _ in range(3):
+            run = run_microbatch(spark, "Q2J", tables, n_batches=2)
+            assert len(_persisted_rdds(spark) - before) == run.n_batches  # the partials
+            run.result.collect()
+            run.release()
+            assert _persisted_rdds(spark) - before == set()
 
     def test_failed_run_leaves_nothing_persisted(self, spark, tables):
         before = _persisted_rdds(spark)

@@ -3,9 +3,14 @@ import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import AutoTuner
+from repro.core.filter import STAGE, TASK, TuningRequest
+from repro.core.script import AC, AP, CONSTRAINT, RP
 from repro.engine import plan as P
-from repro.engine.exec_sim import DEFAULT_PAGE_BYTES, ByteElasticBuffer
+from repro.engine.exec_sim import DEFAULT_PAGE_BYTES, ByteElasticBuffer, SimExecutor
 from repro.engine.splits import SplitSource
+from repro.queries.tpch import QUERIES
+from tests.test_exec_sim import _assert_topology_consistent
 
 # random physical plans: scans at the leaves, joins/filters above, every
 # fragment boundary marked by an exchange (as the optimizer would)
@@ -102,3 +107,69 @@ class TestElasticBufferProperties:
             taken += b.take(a / 2 + 1.0)
         assert taken <= pushed + 1e-6
         assert b.level >= -1e-6
+
+
+# Script actions at whole seconds, so several can land on one tick or
+# inside one DOP switch: (kind, stage index, target DOP or a deadline in
+# 20 s units, t, through the filter or straight to the executor). Targets
+# reach 0, and task DOPs pass a node's 8 cores.
+_actions = st.lists(
+    st.tuples(st.sampled_from([AC, AP, RP, CONSTRAINT]), st.integers(0, 12), st.integers(0, 12),
+              st.integers(0, 300), st.booleans()),
+    min_size=1, max_size=8,
+)
+
+
+def _topology(ex):
+    """What a rejected request must leave as it was."""
+    return (
+        ex.exe.rpc_requests,
+        {sid: [(t.task_id, t.dop) for t in s.tasks] for sid, s in ex.exe.stages.items()},
+        [n.active_drivers for n in ex.cluster.nodes],
+    )
+
+
+class TestRandomScripts:
+    """ROADMAP aim 3: random scripts on every simulated workload query,
+    with the DOP monitor chasing their deadlines, keep the engine
+    invariants on every tick, end, and reject requests without side
+    effects."""
+
+    @given(query=st.sampled_from(["Q1", "Q2", "Q3", "Q2J", "Q5", "Q7", "QSHUF"]),
+           stage_dop=st.integers(1, 2), dt=st.sampled_from([0.5, 1.0]), actions=_actions)
+    @settings(max_examples=80, deadline=None)
+    def test_invariants_and_rejections(self, query, stage_dop, dt, actions):
+        ex = SimExecutor(QUERIES[query].sim_query(), stage_dop=stage_dop, dt=dt)
+        tuner = AutoTuner(ex)
+        sids = ex.query.tree.stage_ids()
+        direct = tuner.direct
+
+        def checked(req, apply=None):
+            before = _topology(ex)
+            out = apply() if apply is not None else direct(req)
+            if req.new_dop < 1 or (ex.query.tree[req.stage_id].pinned and req.new_dop != 1):
+                assert not out.applied
+            if not out.applied:
+                assert _topology(ex) == before, out.reason
+            return out
+
+        tuner.direct = checked  # the monitor's own requests are checked too
+        pending = sorted(actions, key=lambda a: a[3])
+
+        def ctrl(t, e):
+            while pending and pending[0][3] <= t:
+                kind, i, n, _, filtered = pending.pop(0)
+                sid = sids[i % len(sids)]
+                req = TuningRequest(TASK if kind == AC else STAGE, sid, n)
+                if kind == CONSTRAINT:
+                    tuner.set_stage_deadline(sid, t + 20 * n)
+                elif filtered:
+                    checked(req)
+                else:
+                    apply = e.set_task_dop if kind == AC else e.set_stage_dop
+                    checked(req, lambda: apply(sid, n))
+            _assert_topology_consistent(e)
+
+        ex.run(controllers=[ctrl, tuner.monitor], max_s=50_000)
+        assert ex.done
+        _assert_topology_consistent(ex)
