@@ -20,6 +20,11 @@ class Cluster:
 
     nodes: list[Node] = field(default_factory=list)
     _rr_next: int = 0
+    #: node id -> node; ``nodes`` is fixed once the cluster is built.
+    _by_id: dict[str, Node] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._by_id = {n.node_id: n for n in self.nodes}
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -45,10 +50,7 @@ class Cluster:
         return [n for n in self.nodes if n.role == COMPUTE]
 
     def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.node_id == node_id:
-                return n
-        raise KeyError(node_id)
+        return self._by_id[node_id]
 
     # -------------------------------------------------------------- placement
     def place_task(self) -> Node:

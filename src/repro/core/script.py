@@ -90,7 +90,10 @@ class ScriptExecutor:
         return cls(parse_script(text))
 
     def controller(self, tuner: AutoTuner):
-        def _ctrl(t: float, executor: SimExecutor) -> None:
+        """The controller fires every due action and wakes next at the
+        earliest unfired one."""
+
+        def _ctrl(t: float, executor: SimExecutor) -> float:
             for action in self.actions:
                 if action.fired or action.t > t:
                     continue
@@ -103,6 +106,7 @@ class ScriptExecutor:
                 out = tuner.direct(TuningRequest(kind, action.stage_id, action.b))
                 action.applied = out.applied
                 action.reason = out.reason
+            return min((a.t for a in self.actions if not a.fired), default=float("inf"))
 
         return _ctrl
 

@@ -154,8 +154,9 @@ class AutoTuner:
         scan = probe_scan_stage(self.executor.query.tree, stage_id)
         self.set_constraint(scan, finish_by_s)
 
-    def monitor(self, t: float, executor: SimExecutor) -> None:
-        """DOP monitor controller — pass into ``SimExecutor.run``.
+    def monitor(self, t: float, executor: SimExecutor) -> float:
+        """DOP monitor controller — pass into ``SimExecutor.run``; returns
+        the time of its next check.
 
         Every ``monitor_interval_s``, against one runtime snapshot: for
         each constrained unit, compare the scan's required consumption rate
@@ -163,7 +164,7 @@ class AutoTuner:
         (RP) accordingly.
         """
         if t - self._last_check < self.monitor_interval_s:
-            return
+            return self._last_check + self.monitor_interval_s
         self._last_check = t
         info = self.whatif.snapshot()
         for unit in self.units:
@@ -199,3 +200,4 @@ class AutoTuner:
                 target = max(1, int(cur * required / r_now * 1.15))
                 if target < cur:
                     self.direct(TuningRequest(STAGE, knob, target))
+        return self._last_check + self.monitor_interval_s

@@ -22,9 +22,12 @@ the paper's evaluation depends on:
 A stage's rates are piecewise-constant: its tasks' input capacity and
 output shuffle cap change only when a task or driver count changes (which
 also moves the CPU share of every stage on the same nodes) or when a
-rebuilt task starts probing. Each stage caches its per-tick rates and
-refills them after a topology change or at its next activation; a tick
-steps only the stages that have not ended.
+rebuilt task starts probing. Each stage caches its per-tick rates and its
+output capacity, and refills them after a topology change or at its next
+activation; a tick steps only the stages that have not ended, reading and
+writing buffer fields directly. Controllers (script executor, DOP monitor)
+return the time of their next wake, and ``run`` calls none of them on the
+ticks in between.
 
 Data moves only as byte volumes here. The engine keeps the *topology*
 beside it: stages, tasks with their driver counts, output-buffer ID groups
@@ -46,6 +49,7 @@ from repro.engine.scheduler import DynamicScheduler, QueryExecution, schedule_qu
 from repro.engine.stage import Stage
 
 _EPS = 1.0  # byte epsilon for "drained"
+_INF = float("inf")
 
 #: Page size at which elastic buffers grow (1 MB, the order of magnitude of
 #: Presto's pages; buffers start at one-page capacity per §4.2.2).
@@ -98,14 +102,16 @@ class SimQuery:
         return self.expected_output_bytes(build.child_stage_id)
 
 
-@dataclass
+@dataclass(slots=True)
 class ByteElasticBuffer:
     """The runtime elastic buffer (§4.2.2, Fig. 11) over byte volumes.
 
     Capacity is adjusted by the *consumer*, at page granularity: start at
     one page, grow by a page each time the consumer finds it empty (each
     grow bumps the **turn-up counter**, the §5.1 bottleneck signal), and
-    every 500 ms resize to the recent consumption volume.
+    every 500 ms resize to the recent consumption volume. The producer
+    reads ``capacity - level`` as its free space and adds to ``level``;
+    ``level <= _EPS`` means drained.
     """
 
     capacity: float = float(DEFAULT_PAGE_BYTES)
@@ -113,13 +119,6 @@ class ByteElasticBuffer:
     turn_up_counter: int = 0
     ended: bool = False
     consumed_since_resize: float = 0.0
-    _last_resize: float = 0.0
-
-    def free(self) -> float:
-        return max(0.0, self.capacity - self.level)
-
-    def push(self, nbytes: float) -> None:
-        self.level += nbytes
 
     def take(self, want: float) -> float:
         """Consumer-side pull; starving (want > 0 on an empty, un-ended
@@ -136,19 +135,10 @@ class ByteElasticBuffer:
         self.consumed_since_resize += got
         return got
 
-    def tick(self, now: float) -> None:
-        if now - self._last_resize < cal.BUFFER_RESIZE_INTERVAL_S:
-            return
-        self._last_resize = now
-        self.resize()
-
     def resize(self) -> None:
         """The 500 ms resize: capacity follows the recent consumption."""
         self.capacity = max(float(DEFAULT_PAGE_BYTES), 1.2 * self.consumed_since_resize)
         self.consumed_since_resize = 0.0
-
-    def drained(self) -> bool:
-        return self.level <= _EPS
 
 
 @dataclass
@@ -161,7 +151,7 @@ class TuningOutcome:
     rebuild: RebuildOp | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _StageState:
     stage: Stage
     cost: StageCost
@@ -189,6 +179,9 @@ class _StageState:
     #: and stale from ``rates_until``, the next ``active_from`` after the fill.
     rates: tuple[float, float] | None = None
     rates_until: float = 0.0
+    #: filled with ``rates``: the peak output rate in bytes/s of the probing
+    #: tasks, or of all tasks while none probes (§5.3's n_f cap).
+    output_capacity: float = 0.0
     #: the parent's buffer this stage pushes into (None at the root), and
     #: every stage feeding that buffer (the end page waits for all of them).
     out_buf: ByteElasticBuffer | None = None
@@ -268,7 +261,8 @@ class SimExecutor:
         #: the stages not yet ended, children before parents.
         self._live = [self.states[sid] for sid in query.tree.topological()]
         self._root = self.states[query.tree.root_id]
-        #: every buffer is made at t = 0 and resized on one 500 ms clock.
+        #: the buffers not yet ended: each is made at t = 0 and resized on
+        #: one 500 ms clock.
         self._buffers = [
             b for st in self.states.values() for b in (st.in_buf, st.build_buf) if b is not None
         ]
@@ -310,11 +304,16 @@ class SimExecutor:
         return len(tasks) * cal.mb_s(st.cost.out_shuffle_rate_mb_s)
 
     def _fill_rates(self, st: _StageState) -> tuple[float, float]:
-        """Cache the stage's per-tick rates until its next activation."""
-        tasks = self._probing_tasks(st)
+        """Cache the stage's per-tick rates and output capacity until its
+        next activation."""
+        probing = self._probing_tasks(st)
         st.rates = (
-            self._input_bytes_s(st, tasks) * self.dt,
-            self._shuffle_bytes_s(st, tasks) * self.dt,
+            self._input_bytes_s(st, probing) * self.dt,
+            self._shuffle_bytes_s(st, probing) * self.dt,
+        )
+        tasks = probing or st.stage.tasks  # while none probes: the tasks rebuilding
+        st.output_capacity = min(
+            self._input_bytes_s(st, tasks) * st.cost.selectivity, self._shuffle_bytes_s(st, tasks)
         )
         st.rates_until = min((a for a in st.active_from.values() if a > self.t), default=float("inf"))
         return st.rates
@@ -326,60 +325,71 @@ class SimExecutor:
             st.rates = None
 
     def _step_stage(self, st: _StageState) -> None:
+        # The hot loop: buffer fields are read and written here directly,
+        # with min/max spelled as comparisons in the same order, so every
+        # float matches the buffer's own arithmetic. take() alone keeps the
+        # starvation rule.
+        t = self.t
         # ---- join build phase: ingest the build side ----------------------
-        if st.has_join and not st.built:
-            n_tasks = max(1, len(st.stage.tasks))
-            want = n_tasks * cal.mb_s(cal.BUILD_RATE_MB_S) * self.dt
-            assert st.build_buf is not None
-            got = st.build_buf.take(want)
+        if not st.built:  # only a join starts unbuilt
+            build_buf = st.build_buf
+            n_tasks = len(st.stage.tasks) or 1
+            got = build_buf.take(n_tasks * cal.mb_s(cal.BUILD_RATE_MB_S) * self.dt)
             st.build_received += got
-            if st.build_buf.ended and st.build_buf.drained():
+            if build_buf.ended and build_buf.level <= _EPS:
                 st.built = True
-                st.build_done_at = self.t
+                st.build_done_at = t
         # ---- main (probe) flow -------------------------------------------
         rates = st.rates
-        if rates is None or self.t >= st.rates_until:
+        if rates is None or t >= st.rates_until:
             rates = self._fill_rates(st)
         in_cap, out_cap = rates
         sel = st.cost.selectivity
         limit = in_cap if st.built else 0.0
-        free = float("inf") if st.out_buf is None else st.out_buf.free()
-        if sel > 0 and free < float("inf"):
-            limit = min(limit, free / sel)
+        out_buf = st.out_buf
         shuffle_bound = False
-        if sel > 0 and out_cap < float("inf"):
-            if out_cap / sel < limit:
-                shuffle_bound = True
-            limit = min(limit, out_cap / sel)
+        if sel > 0:
+            if out_buf is not None:  # backpressure: the parent's free space
+                free = out_buf.capacity - out_buf.level
+                cap = (free if free > 0.0 else 0.0) / sel
+                if cap < limit:
+                    limit = cap
+            if out_cap < _INF:
+                cap = out_cap / sel
+                if cap < limit:
+                    shuffle_bound = True
+                    limit = cap
         if st.is_scan:
-            got = min(limit, st.scan_remaining)
-            st.scan_remaining -= got
+            remaining = st.scan_remaining
+            got = remaining if remaining < limit else limit
+            st.scan_remaining = remaining - got
+            input_done = st.scan_remaining <= _EPS
         else:
-            got = st.in_buf.take(limit)
+            in_buf = st.in_buf
+            got = in_buf.take(limit)
+            input_done = in_buf.ended and in_buf.level <= _EPS
         if shuffle_bound and got > 0:
             st.shuffle_bound = True
         st.consumed += got
         out = got * sel
         st.produced += out
-        if st.out_buf is not None:
-            st.out_buf.push(out)
+        if out_buf is not None:
+            out_buf.level += out
         # ---- end detection ------------------------------------------------
-        input_done = (
-            (st.scan_remaining <= _EPS)
-            if st.is_scan
-            else (st.in_buf.ended and st.in_buf.drained())
-        )
         if input_done and st.built:
             st.ended = True
-            st.end_at = self.t
+            st.end_at = t
             self._live = [s for s in self._live if s is not st]
             # A switch still in flight when the probe finishes is moot —
             # the filter should have rejected it (§5.2); drop it.
             st.pending_switch = None
             # Propagate end pages upward: the parent's buffer ends once
             # every stage feeding it has ended.
-            if st.out_buf is not None and all(self.states[s].ended for s in st.out_feeders):
-                st.out_buf.ended = True
+            if out_buf is not None and all(self.states[s].ended for s in st.out_feeders):
+                out_buf.ended = True
+                # no producer is left to read its capacity, and take()
+                # reads none once ended: it needs no more resizes
+                self._buffers = [b for b in self._buffers if b is not out_buf]
             for task in st.stage.tasks:
                 task.context.finished = True
 
@@ -400,29 +410,39 @@ class SimExecutor:
     def step(self) -> None:
         if self.done:
             return
-        self.t += self.dt
+        t = self.t = self.t + self.dt
         if self._switching:
             self._process_pending()
+        step_stage = self._step_stage
         for st in self._live:  # a stage that ends rebinds _live, not this list
-            self._step_stage(st)
-        if self.t - self._last_resize >= cal.BUFFER_RESIZE_INTERVAL_S:
-            self._last_resize = self.t
+            step_stage(st)
+        if t - self._last_resize >= cal.BUFFER_RESIZE_INTERVAL_S:
+            self._last_resize = t
             for buf in self._buffers:
                 buf.resize()
-        if self.t - self._last_sample >= self._sample_every:
+        if t - self._last_sample >= self._sample_every:
             for st in self.states.values():
-                st.cum_consumed_samples.append((self.t, st.consumed))
-            self._last_sample = self.t
+                st.cum_consumed_samples.append((t, st.consumed))
+            self._last_sample = t
         if self._root.ended:
             self.done = True
-            self.total_time_s = self.t + self.exe.init_time_s
+            self.total_time_s = t + self.exe.init_time_s
 
     def run(self, *, controllers=(), max_s: float = 1e7) -> float:
-        """Run to completion; ``controllers`` are callables (t, executor)
-        invoked every tick (script executor, auto-tuner)."""
+        """Run to completion under ``controllers`` (script executor,
+        auto-tuner): callables ``(t, executor)`` called before a tick. Each
+        returns the simulated time of its next wake, or None for the next
+        tick, and is next called on the first tick with ``t >=`` that time."""
+        wakes = [0.0] * len(controllers)
+        due = 0.0
         while not self.done and self.t < max_s:
-            for c in controllers:
-                c(self.t, self)
+            t = self.t
+            if t >= due:
+                for i, c in enumerate(controllers):
+                    if t >= wakes[i]:
+                        wake = c(t, self)
+                        wakes[i] = t if wake is None else wake
+                due = min(wakes, default=_INF)
             self.step()
         if not self.done:
             raise RuntimeError(f"query {self.query.name} did not finish by {max_s}s")
@@ -434,6 +454,8 @@ class SimExecutor:
         st = self.states[stage_id]
         if st.ended:
             return TuningOutcome(False, "stage already finished")
+        if n == st.stage.task_dop:
+            return TuningOutcome(False, "no-op: requested current task DOP")
         try:
             latency = self.sched.set_task_dop(stage_id, n)
         except ValueError as exc:
@@ -492,7 +514,9 @@ class SimExecutor:
         return self._input_bytes_s(st, self._probing_tasks(st) or st.stage.tasks)
 
     def stage_output_capacity_bytes_s(self, stage_id: int) -> float:
+        """Peak output rate in bytes/s of the stage's probing tasks (all of
+        them while none probes), capped by its output shuffle."""
         st = self.states[stage_id]
-        tasks = self._probing_tasks(st) or st.stage.tasks
-        cap = self._input_bytes_s(st, tasks) * st.cost.selectivity
-        return min(cap, self._shuffle_bytes_s(st, tasks))
+        if st.rates is None or self.t >= st.rates_until:
+            self._fill_rates(st)
+        return st.output_capacity

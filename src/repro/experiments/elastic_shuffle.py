@@ -45,10 +45,12 @@ def run() -> dict:
     baseline_mid: list = []
 
     def baseline_snap(t, e):
-        # one mid-run snapshot, while the scan's shuffle executors are the
-        # active bottleneck (§5.1's NIC/shuffle check needs a live query)
-        if not baseline_mid and t >= 20.0:
-            baseline_mid.append(network_bottlenecks(baseline_collector.collect()))
+        # one mid-run snapshot at 20 s, while the scan's shuffle executors
+        # are the active bottleneck (§5.1's NIC/shuffle check needs a live query)
+        if t < 20.0:
+            return 20.0
+        baseline_mid.append(network_bottlenecks(baseline_collector.collect()))
+        return float("inf")
 
     baseline = baseline_ex.run(controllers=[baseline_snap])
     baseline_network = baseline_mid[0] if baseline_mid else []

@@ -34,7 +34,7 @@ class _PredicterCtrl:
     pending: list[tuple[float, int, int]] = field(default_factory=list)
     records: list[dict] = field(default_factory=list)
 
-    def __call__(self, t: float, ex: SimExecutor) -> None:
+    def __call__(self, t: float, ex: SimExecutor) -> float:
         while self.pending and self.pending[0][0] <= t:
             at, sid, dop = self.pending.pop(0)
             pred = self.whatif.predict(sid, dop)
@@ -50,6 +50,7 @@ class _PredicterCtrl:
                     "applied": out.applied,
                 }
             )
+        return self.pending[0][0] if self.pending else float("inf")
 
 
 def run() -> dict:

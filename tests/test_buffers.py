@@ -32,6 +32,16 @@ def join_sim(*, partitioned):
     return ex
 
 
+def linear_sim(*, final_rate, scan_rate, sel):
+    """S0 final agg <- S1 scan (1 GB) of selectivity ``sel``."""
+    tree = P.fragment_plan(P.output(P.final_agg(P.exchange(P.scan("t")))))
+    costs = {
+        0: StageCost(per_driver_rate_mb_s=final_rate),
+        1: StageCost(per_driver_rate_mb_s=scan_rate, selectivity=sel, scan_bytes=1 * GB),
+    }
+    return SimExecutor(SimQuery("linear", tree, costs))
+
+
 class TestRuntimeElasticBuffer:
     """``ByteElasticBuffer`` is the runtime elastic buffer the executor runs:
     the consumer resizes it at page granularity (§4.2.2, Fig. 11)."""
@@ -42,20 +52,23 @@ class TestRuntimeElasticBuffer:
         assert ByteElasticBuffer().capacity == PAGE
 
     def test_offer_respects_capacity(self):
-        b = ByteElasticBuffer()
-        b.push(PAGE / 4)
-        assert b.free() == pytest.approx(0.75 * PAGE)
-        b.push(b.free())
-        assert b.free() == 0.0  # full: the producer must wait
+        # the producer ships at most the free space, capacity - level: a
+        # fast scan over a slow consumer fills the buffer and then waits
+        ex = linear_sim(final_rate=1.0, scan_rate=400.0, sel=1.0)
+        buf = ex.states[0].in_buf
+        for _ in range(30):
+            ex.step()
+            assert buf.level <= buf.capacity * (1 + 1e-12)
+        assert buf.capacity == PAGE  # never starved, never grew
+        assert ex.states[1].consumed <= ex.states[0].consumed + PAGE * (1 + 1e-12)
 
     def test_end_page_always_fits(self):
         # the end needs no free space: a full buffer still takes it, and the
         # consumer drains the rest without counting a starvation
-        b = ByteElasticBuffer()
-        b.push(b.free())
+        b = ByteElasticBuffer(level=PAGE)
         b.ended = True
         assert b.take(2 * PAGE) == PAGE
-        assert b.drained()
+        assert b.level == 0.0
         assert b.take(PAGE) == 0.0
         assert b.turn_up_counter == 0
 
@@ -70,8 +83,7 @@ class TestRuntimeElasticBuffer:
         assert b.capacity == 3 * PAGE
 
     def test_pull_after_end_does_not_count(self):
-        b = ByteElasticBuffer()
-        b.push(PAGE / 2)
+        b = ByteElasticBuffer(level=PAGE / 2)
         b.ended = True
         assert b.take(PAGE) == PAGE / 2  # the last bytes
         assert b.take(PAGE) == 0.0  # empty, but ended
@@ -81,23 +93,30 @@ class TestRuntimeElasticBuffer:
     def test_resize_tracks_consumption(self):
         # §4.2.2: every 500 ms capacity tracks recent consumption, shrinking
         # an oversized buffer too
-        b = ByteElasticBuffer(capacity=100 * PAGE)
-        b.push(10 * PAGE)
+        b = ByteElasticBuffer(capacity=100 * PAGE, level=10 * PAGE)
         b.take(10 * PAGE)
-        b.tick(0.6)
+        b.resize()
         assert b.capacity == pytest.approx(12 * PAGE)
 
     def test_resize_has_floor_of_one(self):
         # an idle interval shrinks the buffer back to one page, never below
         b = ByteElasticBuffer(capacity=5 * PAGE)
-        b.tick(0.6)
+        b.resize()
         assert b.capacity == PAGE
 
     def test_resize_waits_for_interval(self):
-        # §4.2.2: the consumer resizes every 500 ms, not on every tick
-        b = ByteElasticBuffer(capacity=5 * PAGE)
-        b.tick(0.3)
-        assert b.capacity == 5 * PAGE
+        # §4.2.2: the consumer resizes every 500 ms, not on every tick. S0
+        # starves on each 0.1 s tick (S1 ships 0.1 bytes a tick), growing
+        # its buffer a page a tick until the resize at 0.5 s shrinks it to
+        # one page.
+        ex = linear_sim(final_rate=400.0, scan_rate=1.0, sel=1e-6)
+        buf = ex.states[0].in_buf
+        caps = []
+        for _ in range(5):
+            ex.step()
+            caps.append(buf.capacity / PAGE)
+        assert caps == [2, 3, 4, 5, 1]
+        assert buf.turn_up_counter == 5
 
 
 class TestSharedBuffer:

@@ -11,7 +11,9 @@ from repro.engine import plan as P
 from repro.core import AutoTuner, RuntimeInfoCollector, ScriptExecutor, rate_at
 from repro.engine.exec_sim import ByteElasticBuffer, SimExecutor, SimQuery, StageCost
 from repro.engine.plan import fragment_plan
-from repro.experiments import elastic_shuffle, q2j_switching, q3_intrastage, q3_intratask
+from repro.experiments import (
+    autotune, elastic_shuffle, q2j_switching, q3_intrastage, q3_intratask,
+)
 from repro.queries.tpch import QUERIES, qshuf_sim
 
 GB = 1e9
@@ -291,6 +293,15 @@ class TestRebuildDop:
         assert collector.collect()[1].dop == 4
         assert ex.stage_input_capacity_bytes_s(1) == pytest.approx(4 * one_task)
 
+    def test_output_capacity_goes_stale_at_the_next_activation(self):
+        # the cached output capacity keeps the rates' rates_until rule, so
+        # a stage no tick refills (one that has ended) still reads the
+        # tasks probing now: here the rebuilt ones, from done_at
+        ex, op, _ = self.start(False, 1, 4)
+        one_task = ex.stage_output_capacity_bytes_s(1)
+        ex.t = op.done_at
+        assert ex.stage_output_capacity_bytes_s(1) == pytest.approx(4 * one_task)
+
 
 class TestShuffleCaps:
     def test_out_shuffle_rate_binds(self):
@@ -377,8 +388,7 @@ class TestByteElasticBuffer:
         assert b.capacity > 1e6
 
     def test_take_bounded_by_level(self):
-        b = ByteElasticBuffer()
-        b.push(500.0)
+        b = ByteElasticBuffer(level=500.0)
         assert b.take(1000.0) == 500.0
 
     def test_no_turn_up_after_end(self):
@@ -388,10 +398,9 @@ class TestByteElasticBuffer:
         assert b.turn_up_counter == 0
 
     def test_resize_tracks_consumption(self):
-        b = ByteElasticBuffer()
-        b.push(50 * MB)
+        b = ByteElasticBuffer(level=50 * MB)
         b.take(50 * MB)
-        b.tick(0.6)
+        b.resize()
         assert b.capacity == pytest.approx(60 * MB)
 
 
@@ -426,6 +435,10 @@ def _assert_topology_consistent(ex):
             tasks = ex._probing_tasks(st)
             fresh = (ex._input_bytes_s(st, tasks) * ex.dt, ex._shuffle_bytes_s(st, tasks) * ex.dt)
             assert st.rates == fresh, sid
+            tasks = tasks or st.stage.tasks
+            fresh_out = min(ex._input_bytes_s(st, tasks) * st.cost.selectivity,
+                            ex._shuffle_bytes_s(st, tasks))
+            assert st.output_capacity == fresh_out, sid
 
 
 class TestTopology:
@@ -481,6 +494,24 @@ class TestTopology:
         assert ex.exe.rpc_requests == ex.exe.init_rpc_requests  # nothing charged
         _assert_topology_consistent(ex)
 
+    @pytest.mark.parametrize("query,sid,task_dop", [("Q3", 1, 2), ("Q1", 0, 1)],
+                             ids=["Q3-S1", "Q1-pinned-final"])
+    def test_noop_task_dop_rejected(self, query, sid, task_dop):
+        # a request for the current task DOP changes nothing and charges no
+        # RPC, as set_stage_dop's no-op does; Q1's S0 is pinned to 1
+        ex = SimExecutor(QUERIES[query].sim_query(), task_dop=task_dop)
+        ex.step()
+        rpc = ex.exe.rpc_requests
+        dops = {s: [t.dop for t in stage.tasks] for s, stage in ex.exe.stages.items()}
+        drivers = [n.active_drivers for n in ex.cluster.nodes]
+        assert ex.exe.stages[sid].task_dop == task_dop
+        out = ex.set_task_dop(sid, task_dop)
+        assert not out.applied and "no-op" in out.reason
+        assert ex.exe.rpc_requests == rpc
+        assert {s: [t.dop for t in stage.tasks] for s, stage in ex.exe.stages.items()} == dops
+        assert [n.active_drivers for n in ex.cluster.nodes] == drivers
+        _assert_topology_consistent(ex)
+
     def test_stage_dop_below_one_rejected(self):
         ex = SimExecutor(QUERIES["Q3"].sim_query())
         out = ex.set_stage_dop(2, 0)
@@ -501,6 +532,80 @@ class TestTopology:
         ex.run(controllers=[sc.controller(AutoTuner(ex)), lambda t, e: _assert_topology_consistent(e)])
         assert sc.applied()
         _assert_topology_consistent(ex)
+
+
+class TestControllerWakes:
+    """A controller returns the simulated time of its next wake (None: the
+    next tick), and ``run`` calls it again at the first tick with
+    ``t >=`` that time."""
+
+    def test_called_at_first_tick_past_its_wake(self):
+        ticks, calls = [], []
+
+        def poll(t, e):
+            ticks.append(t)
+
+        def wake(t, e):
+            calls.append(t)
+            return t + 0.25
+
+        ex = SimExecutor(linear_query())
+        ex.run(controllers=[poll, wake])
+        assert len(ticks) == round(ex.t / ex.dt)  # None: called on every tick
+        want, due = [], 0.0
+        for t in ticks:
+            if t >= due:
+                want.append(t)
+                due = t + 0.25
+        assert calls == want and len(calls) < len(ticks)
+
+    @staticmethod
+    def trace(module, polled):
+        """Run an experiment; return its result (less the host-timed
+        ``driver_gen_ms``), every tuner's log and constraints, and the time
+        each script action fired. ``polled`` discards every controller's
+        wake time, so each one is called on every tick."""
+        tuners, fires = [], []
+        post_init, controller, run = (
+            AutoTuner.__post_init__, ScriptExecutor.controller, SimExecutor.run)
+
+        def record_tuner(self):
+            post_init(self)
+            tuners.append(self)
+
+        def record_fires(self, tuner):
+            inner = controller(self, tuner)
+
+            def ctrl(t, e):
+                before = [a.fired for a in self.actions]
+                wake = inner(t, e)
+                fires.extend((t, a.notation()) for a, was in zip(self.actions, before)
+                             if a.fired and not was)
+                return wake
+            return ctrl
+
+        def run_polled(self, *, controllers=(), **kw):
+            def poll(c):
+                def ctrl(t, e):
+                    c(t, e)
+                return ctrl
+            return run(self, controllers=[poll(c) for c in controllers], **kw)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(AutoTuner, "__post_init__", record_tuner)
+            mp.setattr(ScriptExecutor, "controller", record_fires)
+            if polled:
+                mp.setattr(SimExecutor, "run", run_polled)
+            res = module.run()
+        res.pop("driver_gen_ms", None)
+        return repr(res), [(repr(tu.log), repr(tu.constraints)) for tu in tuners], fires
+
+    @pytest.mark.parametrize("module", [q3_intratask, q2j_switching, autotune],
+                             ids=["E1", "E3", "E6"])
+    def test_wake_times_match_polling(self, module):
+        woken = self.trace(module, polled=False)
+        assert woken[1] and any(log != "[]" for log, _ in woken[1])
+        assert woken == self.trace(module, polled=True)
 
 
 def topology_writers(source: str) -> dict[str, bool]:

@@ -5,7 +5,9 @@ Paper-vs-measured numbers are recorded in EXPERIMENTS.md; these tests pin
 the qualitative claims so a regression in any mechanism (scheduler,
 buffers, DOP switching, filter, predictor, tuner) breaks loudly.
 """
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -255,3 +257,22 @@ class TestPaperNumbers:
         want = {1: 0.0, 2: 277.7454545454555, 3: 549.0000000000019,
                 4: 550.0000000000019, 5: 550.0000000000019}
         assert e4["s1_throughput_by_shuffle_dop_mb_s"] == pytest.approx(want, rel=1e-9)
+
+    def test_experiment_reprs_match_reference(self, e1, e2, e3, e4, e5, e6):
+        """Every simulated output, not only the fingerprint: the SHA-1 of
+        ``repr(run())`` of each E1–E6 experiment, less the host-timed
+        ``driver_gen_ms``, equals the committed reference.
+
+        A change that moves any simulated value must regenerate
+        ``tests/data/experiment_repr_sha1.json`` (the hashes this test
+        computes) and list every changed field of every changed experiment
+        in CHANGES.md.
+        """
+        results = dict(zip(("E1", "E2", "E3", "E4", "E5", "E6"), (e1, e2, e3, e4, e5, e6)))
+        got = {
+            exp: hashlib.sha1(repr({k: v for k, v in res.items() if k != "driver_gen_ms"})
+                              .encode()).hexdigest()
+            for exp, res in results.items()
+        }
+        ref = json.loads((Path(__file__).parent / "data" / "experiment_repr_sha1.json").read_text())
+        assert got == ref
