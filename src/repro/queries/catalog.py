@@ -11,11 +11,12 @@ reproduction at laptop scale).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import pandas as pd
+from typing import TYPE_CHECKING
 
 from repro.engine.splits import SplitSource
-from repro.synth_data import tpch_pandas
+
+if TYPE_CHECKING:
+    import pandas as pd
 
 KB = 1e3
 MB = 1e6
@@ -84,6 +85,8 @@ def build_setup_rows(sf: float) -> list[dict]:
     Returns one dict per table with both measured (at ``sf``) and paper
     (SF100) numbers so EXPERIMENTS.md can show them side by side.
     """
+    from repro.synth_data import tpch_pandas
+
     rows = []
     for name, setup in TABLE1.items():
         pdf = tpch_pandas(name, sf=sf)

@@ -21,20 +21,25 @@ Simulator volumes are the paper's SF100 bytes (``queries.catalog``); the
 calibrated per-driver rates are documented in ``cluster.calibration``.
 Per-query probe rates below the default model hash tables exceeding one
 node's memory (Q2J: a 16.57 GB build side on 16 GB nodes).
+
+Every Spark function imports ``pyspark.sql.functions as F`` in its own
+body: the simulator plane imports this module for ``sim_query`` alone, and
+a module-level import would load pyspark (and py4j) into every simulator
+run. DESIGN.md §5 states the rule; ``tests/test_layering.py`` guards it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
-
-import pyspark.sql.functions as F
-from pyspark.sql import DataFrame, SparkSession
+from typing import TYPE_CHECKING, Callable
 
 from repro.cluster import calibration as cal
 from repro.engine import plan as P
 from repro.engine.exec_sim import SimQuery, StageCost
 from repro.engine.plan import fragment_plan
 from repro.queries.catalog import sf100_bytes
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame, SparkSession
 
 
 @dataclass
@@ -97,6 +102,8 @@ GROUP BY l_returnflag, l_linestatus
 
 
 def q1_partial(t: dict[str, DataFrame]) -> DataFrame:
+    import pyspark.sql.functions as F
+
     return (
         t["lineitem"].where(F.col("l_shipdate") <= F.lit("1998-09-02").cast("timestamp"))
         .groupBy("l_returnflag", "l_linestatus")
@@ -110,6 +117,8 @@ def q1_partial(t: dict[str, DataFrame]) -> DataFrame:
 
 
 def q1_merge(parts: DataFrame) -> DataFrame:
+    import pyspark.sql.functions as F
+
     return (
         parts.groupBy("l_returnflag", "l_linestatus")
         .agg(
@@ -155,6 +164,8 @@ LIMIT 10
 
 
 def q3_partial(t: dict[str, DataFrame]) -> DataFrame:
+    import pyspark.sql.functions as F
+
     c = t["customer"].where(F.col("c_mktsegment") == "BUILDING")
     o = t["orders"].where(F.col("o_orderdate") < F.lit("1995-03-15").cast("timestamp"))
     li = t["lineitem"].where(F.col("l_shipdate") > F.lit("1995-03-15").cast("timestamp"))
@@ -167,6 +178,8 @@ def q3_partial(t: dict[str, DataFrame]) -> DataFrame:
 
 
 def q3_merge(parts: DataFrame) -> DataFrame:
+    import pyspark.sql.functions as F
+
     return (
         parts.groupBy("l_orderkey", "o_orderdate")
         .agg(F.sum("revenue").alias("revenue"))
@@ -216,6 +229,8 @@ INNER JOIN orders ON l_orderkey = o_orderkey
 
 
 def q2j_partial(t: dict[str, DataFrame]) -> DataFrame:
+    import pyspark.sql.functions as F
+
     li, o = t["lineitem"], t["orders"]
     return (
         li.join(o, li.l_orderkey == o.o_orderkey)
@@ -225,6 +240,8 @@ def q2j_partial(t: dict[str, DataFrame]) -> DataFrame:
 
 def sum_counts(parts: DataFrame) -> DataFrame:
     """Merge of the count queries Q2J and QSHUF."""
+    import pyspark.sql.functions as F
+
     return parts.agg(F.sum("cnt").alias("cnt"))
 
 
@@ -263,6 +280,8 @@ WHERE c_nationkey = 9
 
 
 def qshuf_partial(t: dict[str, DataFrame]) -> DataFrame:
+    import pyspark.sql.functions as F
+
     o = t["orders"]
     c = t["customer"].where(F.col("c_nationkey") == 9)
     return o.join(c, o.o_custkey == c.c_custkey).agg(F.count("o_orderkey").alias("cnt"))
@@ -336,6 +355,8 @@ LIMIT 20
 
 
 def q2_spark(spark: SparkSession, t: dict[str, DataFrame]) -> DataFrame:
+    import pyspark.sql.functions as F
+
     part = t["part"].where(F.col("p_size") == 15)
     eu_nation = (
         t["nation"]
@@ -428,6 +449,8 @@ GROUP BY n_name
 
 
 def q5_spark(spark: SparkSession, t: dict[str, DataFrame]) -> DataFrame:
+    import pyspark.sql.functions as F
+
     asia_nation = (
         t["nation"]
         .join(t["region"].where(F.col("r_name") == "ASIA"),
@@ -505,6 +528,8 @@ GROUP BY supp_nation, cust_nation, l_year
 
 
 def q7_spark(spark: SparkSession, t: dict[str, DataFrame]) -> DataFrame:
+    import pyspark.sql.functions as F
+
     n1 = t["nation"].select(
         F.col("n_nationkey").alias("n1_key"), F.col("n_name").alias("supp_nation")
     )

@@ -1,0 +1,55 @@
+"""The simulator plane loads no data-plane library (DESIGN.md §5).
+
+Only ``synth_data``, ``oracle`` and ``spark_iqre`` may import pandas,
+pyarrow, pyspark or duckdb at module level, and ``queries.tpch`` only
+inside its Spark functions. The root ``conftest.py`` loads pyspark into
+the test process, so each check runs its code in a fresh interpreter and
+reads that interpreter's ``sys.modules``.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA_PLANE = ("pandas", "pyarrow", "pyspark", "py4j", "duckdb")
+
+_REPORT = (
+    "\nimport json, sys\n"
+    f"print(json.dumps([m for m in {DATA_PLANE!r} if m in sys.modules]))\n"
+)
+
+
+def loaded_data_plane(code: str) -> set[str]:
+    """The data-plane libraries in ``sys.modules`` after a fresh
+    interpreter runs ``code`` against this checkout's ``src``."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code + _REPORT],
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=ROOT, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_simulator_plane_loads_no_data_plane_library():
+    code = (
+        "import repro.experiments\n"
+        "from repro.engine.exec_sim import SimExecutor\n"
+        "from repro.experiments import prediction\n"
+        "from repro.queries.tpch import QUERIES\n"
+        "for q in QUERIES.values():\n"
+        "    SimExecutor(q.sim_query())\n"
+        "prediction.run()\n"
+    )
+    assert loaded_data_plane(code) == set()
+
+
+def test_table1_starts_no_spark():
+    code = "from repro.experiments import table1\ntable1.run(sf=0.001)\n"
+    assert loaded_data_plane(code) & {"pyspark", "py4j", "duckdb"} == set()
+
+
+def test_detector_flags_each_library():
+    assert {"pandas", "pyspark", "py4j", "duckdb"} <= loaded_data_plane("import repro.oracle")
