@@ -506,13 +506,6 @@ class SimExecutor:
         return TuningOutcome(True, latency_s=latency, rebuild=op)
 
     # ------------------------------------------------------- runtime queries
-    def stage_input_capacity_bytes_s(self, stage_id: int) -> float:
-        """What the stage could consume per second with its current tasks
-        and drivers at full CPU speed — the peak the probe side can reach
-        without adding upstream resources (§5.3's n_f bound)."""
-        st = self.states[stage_id]
-        return self._input_bytes_s(st, self._probing_tasks(st) or st.stage.tasks)
-
     def stage_output_capacity_bytes_s(self, stage_id: int) -> float:
         """Peak output rate in bytes/s of the stage's probing tasks (all of
         them while none probes), capped by its output shuffle."""

@@ -8,10 +8,17 @@ This module demonstrates the closest legal analogue inside Spark's
 execution model (per the reproduction brief): a query is executed as a
 sequence of micro-batches over hash-partitioned slices of its probe
 table — the Spark equivalent of Accordion's split-at-a-time table scan —
-and between batches the driver retunes ``spark.sql.shuffle.partitions``
-(the shuffle DOP of every subsequent Spark job inside the same logical
-query). Partial aggregates are merged at the end, mirroring Accordion's
-two-phase aggregation model (§4.1).
+and between batches the driver sets ``spark.sql.shuffle.partitions`` to the
+batch's scheduled DOP. Partial aggregates are merged at the end, mirroring
+Accordion's two-phase aggregation model (§4.1).
+
+The schedule is requested, not yet enforced or observed. Under Spark's AQE
+defaults, partition coalescing overrides ``spark.sql.shuffle.partitions``
+(ROADMAP "Measured": asking for 32 gave no 32-task stage), so a batch's
+shuffles may run at a lower DOP than ``batch_dops`` records. And
+``batch_partitions`` counts each partial's output partitions (1 for every
+batch of Q1, Q2J and Q3), not the DOP its shuffles executed at. ROADMAP
+item 1 makes the DOP take effect and reads the executed one.
 
 A query runs here if its ``QueryDef`` names a ``probe_table``; each batch
 runs the query's own ``partial`` and the union goes through its ``merge``,
@@ -42,9 +49,9 @@ BATCH_KEYS = {"lineitem": "l_orderkey", "orders": "o_orderkey"}
 class MicrobatchRun:
     result: DataFrame
     n_batches: int
-    #: shuffle DOP in force while each batch executed.
+    #: ``spark.sql.shuffle.partitions`` set for each batch (AQE may coalesce below it).
     batch_dops: list[int] = field(default_factory=list)
-    #: observed partition counts of each partial (post-AQE).
+    #: output partition count of each partial (post-AQE), not its executed DOP.
     batch_partitions: list[int] = field(default_factory=list)
     #: the stored per-batch partials that ``result`` reads.
     partials: list[DataFrame] = field(default_factory=list, repr=False)

@@ -129,12 +129,13 @@ class TestIntraTaskDopObjectLevel:
 
     def test_drivers_process_independently(self, q3_sim):
         # each driver adds its own processing rate; closing one leaves the
-        # other working
-        one = q3_sim.stage_input_capacity_bytes_s(2)
+        # other working (stage 2 has no shuffle cap, so its output capacity
+        # is its input capacity times the selectivity)
+        one = q3_sim.stage_output_capacity_bytes_s(2)
         assert q3_sim.set_task_dop(2, 2).applied
-        assert q3_sim.stage_input_capacity_bytes_s(2) == pytest.approx(2 * one)
+        assert q3_sim.stage_output_capacity_bytes_s(2) == pytest.approx(2 * one)
         assert q3_sim.set_task_dop(2, 1).applied
-        assert q3_sim.stage_input_capacity_bytes_s(2) == pytest.approx(one)
+        assert q3_sim.stage_output_capacity_bytes_s(2) == pytest.approx(one)
         assert one > 0
 
 

@@ -1,4 +1,5 @@
-"""The simulator plane loads no data-plane library (DESIGN.md §5).
+"""The simulator plane loads no data-plane library, nor numpy: it runs on
+the standard library alone (DESIGN.md §5).
 
 Only ``synth_data``, ``oracle`` and ``spark_iqre`` may import pandas,
 pyarrow, pyspark or duckdb at module level, and ``queries.tpch`` only
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DATA_PLANE = ("pandas", "pyarrow", "pyspark", "py4j", "duckdb")
+DATA_PLANE = ("numpy", "pandas", "pyarrow", "pyspark", "py4j", "duckdb")
 
 _REPORT = (
     "\nimport json, sys\n"
