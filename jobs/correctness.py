@@ -38,7 +38,8 @@ def main(sf: float = 0.01) -> None:
         if qdef.probe_table:
             run = run_microbatch(spark, name, tables, n_batches=3, dop_schedule=[2, 8, 4])
             assert_equivalent(run.result, qdef.duckdb_sql, **{t: tables[t] for t in qdef.tables})
-            print(f"  {name}: micro-batch IQRE (DOPs {run.batch_dops}) == DuckDB  OK")
+            print(f"  {name}: micro-batch IQRE (DOPs {run.batch_dops}, executed "
+                  f"{run.batch_executed_dops}) == DuckDB  OK")
     print("all queries correct")
     spark.stop()
 

@@ -51,6 +51,8 @@ class QueryDef:
     of partials into the answer. Single-shot Spark runs
     ``merge(partial(tables))``; the micro-batch harness calls ``partial``
     once per probe-table batch, so the DOP can change between batches.
+    ``probe_key`` is the probe column a batch is split and repartitioned
+    on: the key of the stage the paper's scripts tune (S1).
     """
 
     name: str
@@ -61,6 +63,7 @@ class QueryDef:
     _sim: Callable[[], SimQuery]
     #: probe-side table for the micro-batch IQRE harness (None = no harness).
     probe_table: str | None = None
+    probe_key: str | None = None
     partial: Callable[[dict[str, DataFrame]], DataFrame] | None = None
     merge: Callable[[DataFrame], DataFrame] | None = None
 
@@ -69,12 +72,12 @@ class QueryDef:
 
 
 def _two_phase(name: str, description: str, tables: list[str], sql: str,
-               sim: Callable[[], SimQuery], probe_table: str,
+               sim: Callable[[], SimQuery], probe_table: str, probe_key: str,
                partial: Callable[[dict[str, DataFrame]], DataFrame],
                merge: Callable[[DataFrame], DataFrame]) -> QueryDef:
     return QueryDef(name, description, tables, sql,
                     lambda spark, t: merge(partial(t)), sim,
-                    probe_table, partial, merge)
+                    probe_table, probe_key, partial, merge)
 
 
 def _scan(table: str, selectivity: float, *, shuffle_cap: float | None = None) -> StageCost:
@@ -597,20 +600,22 @@ def q7_sim() -> SimQuery:
 QUERIES: dict[str, QueryDef] = {
     "Q1": _two_phase(
         "Q1", "pricing summary (scan + 2-phase agg)",
-        ["lineitem"], Q1_SQL, q1_sim, "lineitem", q1_partial, q1_merge,
+        ["lineitem"], Q1_SQL, q1_sim, "lineitem", "l_orderkey", q1_partial, q1_merge,
     ),
     "Q3": _two_phase(
         "Q3", "shipping priority (two broadcast joins + topN)",
         ["customer", "orders", "lineitem"], Q3_SQL, q3_sim,
-        "lineitem", q3_partial, q3_merge,
+        "lineitem", "l_orderkey", q3_partial, q3_merge,
     ),
     "Q2J": _two_phase(
         "Q2J", "two-way partitioned join (Fig. 15)",
-        ["lineitem", "orders"], Q2J_SQL, q2j_sim, "lineitem", q2j_partial, sum_counts,
+        ["lineitem", "orders"], Q2J_SQL, q2j_sim, "lineitem", "l_orderkey",
+        q2j_partial, sum_counts,
     ),
     "QSHUF": _two_phase(
         "QSHUF", "orders⋈customer, shuffle-bottlenecked (§6.4.2)",
-        ["orders", "customer"], QSHUF_SQL, qshuf_sim, "orders", qshuf_partial, sum_counts,
+        ["orders", "customer"], QSHUF_SQL, qshuf_sim, "orders", "o_custkey",
+        qshuf_partial, sum_counts,
     ),
     "Q2": QueryDef(
         "Q2", "min-cost supplier (auto-tuning subject, §6.5.2)",

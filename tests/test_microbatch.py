@@ -3,6 +3,9 @@
 The defining property: changing the shuffle DOP *mid-query* must never
 change the answer — every run is diffed against the DuckDB oracle.
 """
+import threading
+import warnings
+
 import pyspark.sql.functions as F
 import pytest
 
@@ -148,10 +151,120 @@ class TestDopMechanics:
         run_microbatch(spark, "Q2J", tables, n_batches=2, dop_schedule=[3, 7])
         assert spark.conf.get("spark.sql.shuffle.partitions") == before
 
-    def test_partition_counts_recorded(self, spark, tables):
-        run = run_microbatch(spark, "Q2J", tables, n_batches=2, dop_schedule=[2, 4])
-        assert len(run.batch_partitions) == 2
-        assert all(p >= 1 for p in run.batch_partitions)
-
     def test_specs_cover_probe_queries(self):
         assert set(MICROBATCH) == {"Q1", "Q3", "Q2J", "QSHUF"}
+
+    @pytest.mark.parametrize("name", MICROBATCH)
+    def test_probe_key_is_a_probe_column(self, tables, name):
+        qdef = QUERIES[name]
+        assert qdef.probe_key in tables[qdef.probe_table].columns
+
+
+def _off_default(sc, *candidates: int) -> int:
+    """The first candidate DOP that differs from the stored inputs'
+    partition count (``defaultParallelism``), so no scan stage can pass
+    for the stage that ran at it."""
+    return next(d for d in candidates if d != sc.defaultParallelism)
+
+
+class TestExecutedDop:
+    @pytest.mark.parametrize("name", ["Q2J", "Q3"])
+    def test_probe_stage_runs_at_scheduled_dop(self, spark, tables, name):
+        sc = spark.sparkContext
+        schedule = [_off_default(sc, 3, 5), _off_default(sc, 32, 48)]
+        run = run_microbatch(spark, name, tables, n_batches=2, dop_schedule=schedule)
+        assert run.batch_executed_dops == schedule
+
+    def test_no_batch_writes_the_session_conf(self, spark, tables):
+        seen = []
+        schedule = [3, 9, 5]
+
+        def dop(i):
+            seen.append(spark.conf.get("spark.sql.shuffle.partitions"))
+            return schedule[i]
+
+        run_microbatch(spark, "Q2J", tables, n_batches=3, dop_schedule=dop)
+        assert seen == ["1", "1", "1"]
+
+
+class TestOverlappedBatches:
+    """Up to two batches run at once; every way out of a run leaves no
+    stored copy behind and the session conf as it was."""
+
+    @pytest.fixture
+    def clean(self, spark):
+        before_rdds = _persisted_rdds(spark)
+        before_conf = spark.conf.get("spark.sql.shuffle.partitions")
+        yield
+        assert _persisted_rdds(spark) - before_rdds == set()
+        assert spark.conf.get("spark.sql.shuffle.partitions") == before_conf
+
+    def test_bad_dop_while_a_batch_is_in_flight(self, spark, tables, clean):
+        with pytest.raises(ValueError, match="got 0 for batch 2"):
+            run_microbatch(spark, "Q2J", tables, n_batches=3, dop_schedule=[2, 4, 0])
+
+    def test_error_in_a_worker_propagates(self, spark, tables, clean, monkeypatch):
+        qdef = QUERIES["Q2J"]
+        bad_key = tables["lineitem"].first()["l_orderkey"]  # in exactly one slice
+
+        def boom(k):
+            if k == bad_key:
+                raise RuntimeError(f"boom at key {k}")
+            return k
+
+        partial = qdef.partial
+
+        def failing(t):
+            li = t["lineitem"]
+            udf = F.udf(boom, li.schema["l_orderkey"].dataType)
+            return partial({**t, "lineitem": li.withColumn("l_orderkey", udf("l_orderkey"))})
+
+        monkeypatch.setattr(qdef, "partial", failing)
+        with pytest.raises(Exception, match=f"boom at key {bad_key}"):
+            run_microbatch(spark, "Q2J", tables, n_batches=4, dop_schedule=[2, 3, 4, 5])
+
+    def test_callable_schedule_called_once_per_batch_in_order(self, spark, tables, clean):
+        calls = []
+
+        def dop(i):
+            calls.append((i, threading.get_ident()))
+            return 2 + i
+
+        run = run_microbatch(spark, "Q2J", tables, n_batches=4, dop_schedule=dop)
+        run.release()
+        assert calls == [(i, threading.get_ident()) for i in range(4)]
+
+
+class TestJobGroupInherited:
+    def test_every_job_is_in_the_callers_group(self, spark, tables):
+        sc = spark.sparkContext
+        listener_bus = sc._jsc.sc().listenerBus()
+
+        def one_job(group: str) -> int:
+            sc.setJobGroup(group, "marker")
+            sc.parallelize([1]).count()
+            listener_bus.waitUntilEmpty()
+            (job,) = sc.statusTracker().getJobIdsForGroup(group)
+            return job
+
+        try:
+            first = one_job("before-run")
+            sc.setJobGroup("g", "micro-batch run")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run = run_microbatch(spark, "Q2J", tables, n_batches=3,
+                                     dop_schedule=[2, _off_default(sc, 32, 48), 4])
+            last = one_job("after-run")
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        run.release()
+        assert not [w for w in caught if "Tags will not be inherited" in str(w.message)]
+        in_group = set(sc.statusTracker().getJobIdsForGroup("g"))
+        assert last - first > 1
+        assert set(range(first + 1, last)) <= in_group
+        # Read independently of batch_executed_dops: a stage of the group
+        # ran at the middle batch's DOP.
+        tasks = {sc.statusTracker().getStageInfo(s).numTasks
+                 for j in in_group for s in sc.statusTracker().getJobInfo(j).stageIds}
+        assert run.batch_dops[1] in tasks
