@@ -5,10 +5,11 @@ from repro.core.bottleneck import computational_bottlenecks, network_bottlenecks
 from repro.core.filter import STAGE, TASK, TuningRequest, TuningRequestFilter
 from repro.core.predictor import Prediction, WhatIfService, probe_scan_stage
 from repro.core.runtime_info import (
+    DataPlane,
     QueryInfo,
     RuntimeInfoCollector,
     StageInfo,
-    TaskInfo,
+    TuningOutcome,
     consumed_between,
     rate_at,
 )
@@ -25,10 +26,11 @@ __all__ = [
     "Prediction",
     "WhatIfService",
     "probe_scan_stage",
+    "DataPlane",
     "QueryInfo",
     "RuntimeInfoCollector",
     "StageInfo",
-    "TaskInfo",
+    "TuningOutcome",
     "consumed_between",
     "rate_at",
     "ScriptAction",

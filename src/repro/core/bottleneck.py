@@ -14,9 +14,10 @@ stands in for the coordinator's NIC-utilization check.
 from __future__ import annotations
 
 from repro.core.runtime_info import QueryInfo
+from repro.engine.plan import StageTree
 
 
-def computational_bottlenecks(prev: QueryInfo, cur: QueryInfo) -> list[int]:
+def computational_bottlenecks(tree: StageTree, prev: QueryInfo, cur: QueryInfo) -> list[int]:
     """Stage ids whose turn-up counter stayed flat between snapshots.
 
     Scan stages are excluded — they have no exchange (input) buffer; their
@@ -24,7 +25,7 @@ def computational_bottlenecks(prev: QueryInfo, cur: QueryInfo) -> list[int]:
     """
     out: list[int] = []
     for sid, s in cur.stages.items():
-        if s.finished or s.is_scan:
+        if s.finished or tree[sid].is_scan:
             continue
         if sid not in prev.stages:
             continue

@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.predictor import WhatIfService
-from repro.core.runtime_info import QueryInfo
-from repro.engine.exec_sim import SimExecutor
+from repro.core.runtime_info import DataPlane, QueryInfo
 
 STAGE = "stage"
 TASK = "task"
@@ -44,11 +43,11 @@ class TuningRequestFilter:
     """Accept/reject logic applied before any request reaches the dynamic
     optimizer (Fig. 8's 'tuning request filter')."""
 
-    executor: SimExecutor
+    plane: DataPlane
     whatif: WhatIfService = field(init=False)
 
     def __post_init__(self) -> None:
-        self.whatif = WhatIfService(self.executor)
+        self.whatif = WhatIfService(self.plane)
 
     def check(self, req: TuningRequest, info: QueryInfo | None = None) -> FilterDecision:
         """Decide ``req`` against the snapshot ``info`` (collected now if
@@ -65,14 +64,15 @@ class TuningRequestFilter:
             return FilterDecision(False, f"stage {req.stage_id} already finished")
         if req.new_dop < 1:
             return FilterDecision(False, "DOP must be >= 1")
-        if self.executor.query.tree[req.stage_id].pinned:
+        frag = self.plane.tree[req.stage_id]
+        if frag.pinned:
             return FilterDecision(False, "final aggregation stage: parallelism fixed at 1 (§4.1)")
         cur = s.dop if req.kind == STAGE else s.task_dop
         if req.new_dop == cur:
             return FilterDecision(False, "no-op: stage already at requested DOP")
         # §5.2: join stages near completion — rebuilding costs more than the
         # time the stage has left.
-        if req.kind == STAGE and s.has_join and req.new_dop > cur:
+        if req.kind == STAGE and frag.has_join and req.new_dop > cur:
             if s.switching:
                 return FilterDecision(False, "a DOP switch is already in progress")
             t_remain = self.whatif.remaining_time_s(req.stage_id, info)

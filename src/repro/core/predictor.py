@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.runtime_info import QueryInfo, RuntimeInfoCollector
-from repro.engine.exec_sim import SimExecutor
+from repro.core.runtime_info import DataPlane, QueryInfo, RuntimeInfoCollector
 from repro.engine.hashjoin import rebuild_phases_s
 from repro.engine.plan import StageTree
 
@@ -60,11 +59,11 @@ class WhatIfService:
     Every method reads one runtime snapshot, ``info``, collected on the
     spot when the caller passes none."""
 
-    executor: SimExecutor
+    plane: DataPlane
     collector: RuntimeInfoCollector = field(init=False)
 
     def __post_init__(self) -> None:
-        self.collector = RuntimeInfoCollector(self.executor)
+        self.collector = RuntimeInfoCollector(self.plane)
 
     def snapshot(self, info: QueryInfo | None = None) -> QueryInfo:
         """``info``, or a fresh snapshot when it is None."""
@@ -73,17 +72,18 @@ class WhatIfService:
     # ------------------------------------------------------------- internals
     def remaining_time_s(self, stage_id: int, info: QueryInfo | None = None) -> float:
         """T_remain of a stage from its probe-side scan progress (§5.2)."""
-        scan = self.snapshot(info)[probe_scan_stage(self.executor.query.tree, stage_id)]
+        scan = self.snapshot(info)[probe_scan_stage(self.plane.tree, stage_id)]
         if scan.recent_rate_bytes_s <= 0.0:
             return float("inf")
         return scan.remaining_bytes / scan.recent_rate_bytes_s
 
     def build_time_s(self, stage_id: int, new_dop: int, info: QueryInfo | None = None) -> float:
         """T_build for a hash-table reconstruction at ``new_dop`` (§5.2)."""
-        s = self.snapshot(info)[stage_id]
-        if not s.has_join:
+        frag = self.plane.tree[stage_id]
+        if not frag.has_join:
             return 0.0
-        return sum(rebuild_phases_s(s.partitioned, s.build_bytes, new_dop))
+        build_bytes = self.snapshot(info)[stage_id].build_bytes
+        return sum(rebuild_phases_s(frag.partitioned, build_bytes, new_dop))
 
     def max_n_f(self, stage_id: int, info: QueryInfo | None = None) -> float:
         """Cap on the speedup factor from the upstream stage's headroom
@@ -97,8 +97,8 @@ class WhatIfService:
         at full CPU speed (and within any shuffle-executor cap). The ratio
         of that peak to its current output rate bounds n_f.
         """
-        frag = self.executor.query.tree[stage_id]
-        cores = float(self.executor.cluster.compute_nodes()[0].cores)
+        frag = self.plane.tree[stage_id]
+        cores = float(self.plane.node_cores)
         if frag.is_scan:
             # a scan's upstream is storage, which Table 1 spreads wide
             # enough not to bind; the per-node core count caps n_f instead
@@ -107,7 +107,7 @@ class WhatIfService:
             return 1.0
         up = frag.main_source.child_stage_id
         s = self.snapshot(info)[up]
-        cur = s.recent_rate_bytes_s * self.executor.query.costs[up].selectivity
+        cur = s.recent_rate_bytes_s * self.plane.selectivity(up)
         if cur <= 0.0:
             return cores
         return max(1.0, s.output_capacity_bytes_s / cur)
@@ -130,7 +130,7 @@ class WhatIfService:
             t_pred = (t_remain - t_tuning) / n_f + t_tuning
         return Prediction(
             stage_id=stage_id,
-            scan_stage_id=probe_scan_stage(self.executor.query.tree, stage_id),
+            scan_stage_id=probe_scan_stage(self.plane.tree, stage_id),
             current_dop=cur,
             requested_dop=new_dop,
             n_f=n_f,

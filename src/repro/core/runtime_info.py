@@ -1,12 +1,13 @@
-"""Query runtime information collection (§5.1, Fig. 18).
+"""Query runtime information collection (§5.1, Fig. 18), and the contract
+between the control plane and a data plane.
 
-Accordion organizes runtime information as a "query–stage–task" hierarchy:
-each task stores counters in its task context; the coordinator's runtime
-information collector periodically fetches them via task information
-fetchers and aggregates by stage and query. ``RuntimeInfoCollector.collect``
-is the only read of executor state: the auto-tuner, predictor, filter,
-bottleneck localizer and the experiments read its snapshots, plus the
-static plan (stage tree, stage costs, node core count).
+``DataPlane`` is everything ``repro.core`` reads from or does to a running
+query: the static plan facts (stage tree, selectivities, cores per compute
+node), a snapshot of each stage's runtime facts, and the two DOP requests.
+The simulator (``engine.exec_sim.SimExecutor``) implements it.
+``RuntimeInfoCollector.collect`` is the only caller of ``snapshot()``: the
+auto-tuner, predictor, filter, bottleneck localizer and the experiments
+read the collector's ``QueryInfo``.
 
 A stage's progress is one series of ``(t, cumulative consumed bytes)``
 samples. Every rate is derived from it here: the recent consumption rate
@@ -17,34 +18,27 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Protocol
 
-from repro.engine.exec_sim import SimExecutor
+if TYPE_CHECKING:
+    from repro.engine.hashjoin import RebuildOp
+    from repro.engine.plan import StageTree
 
 #: Window over which the collector measures a stage's recent rate (§5.2).
 RATE_WINDOW_S = 5.0
 
 
 @dataclass
-class TaskInfo:
-    task_id: str
-    node_id: str
-    dop: int
-    finished: bool
-
-
-@dataclass
 class StageInfo:
+    """One stage's runtime facts, as its data plane reports them."""
+
     stage_id: int
     dop: int
     task_dop: int
-    is_scan: bool
-    has_join: bool
-    partitioned: bool
     finished: bool
     consumed_bytes: float
     expected_input_bytes: float
     remaining_bytes: float
-    recent_rate_bytes_s: float
     turn_up_counter: int
     build_bytes: float
     shuffle_bound: bool
@@ -56,7 +50,8 @@ class StageInfo:
     end_at: float | None = None
     #: the progress series: (t, cumulative consumed bytes), in time order.
     samples: tuple[tuple[float, float], ...] = ()
-    tasks: list[TaskInfo] = field(default_factory=list)
+    #: derived from ``samples`` by the collector (§5.2).
+    recent_rate_bytes_s: float = 0.0
 
     @property
     def progress(self) -> float:
@@ -76,45 +71,48 @@ class QueryInfo:
 
 
 @dataclass
-class RuntimeInfoCollector:
-    """The coordinator-side collector: ``collect()`` walks task contexts
-    and aggregates them into the stage/query levels."""
+class TuningOutcome:
+    """Result of a runtime DOP request at the data plane."""
 
-    executor: SimExecutor
+    applied: bool
+    reason: str = ""
+    latency_s: float = 0.0
+    rebuild: RebuildOp | None = None
+
+
+class DataPlane(Protocol):
+    """The data-plane contract: the members the control plane uses."""
+
+    #: the query's fragmented plan (static).
+    tree: StageTree
+    #: cores of one compute node (§5.3's n_f cap on a scan stage).
+    node_cores: int
+
+    def selectivity(self, stage_id: int) -> float:
+        """Output bytes per input byte of the stage (static)."""
+
+    def snapshot(self) -> QueryInfo:
+        """Every stage's runtime facts now; a later change leaves the
+        returned snapshot as it is."""
+
+    def set_stage_dop(self, stage_id: int, n: int) -> TuningOutcome:
+        """Intra-stage DOP request (§4.4, §4.5)."""
+
+    def set_task_dop(self, stage_id: int, n: int) -> TuningOutcome:
+        """Intra-task DOP request (§4.3)."""
+
+
+@dataclass
+class RuntimeInfoCollector:
+    """The coordinator-side collector: ``collect()`` takes the data plane's
+    snapshot and derives each stage's recent rate from its samples."""
+
+    plane: DataPlane
 
     def collect(self) -> QueryInfo:
-        ex = self.executor
-        info = QueryInfo(t=ex.t, done=ex.done)
-        for sid, st in ex.states.items():
-            samples = tuple(st.cum_consumed_samples)
-            remaining = (
-                st.scan_remaining if st.is_scan else max(0.0, st.expected_in - st.consumed)
-            )
-            tasks = [
-                TaskInfo(t.task_id, t.node_id, t.dop, t.context.finished)
-                for t in st.stage.tasks
-            ]
-            info.stages[sid] = StageInfo(
-                stage_id=sid,
-                dop=st.effective_dop(),
-                task_dop=st.stage.task_dop,
-                is_scan=st.is_scan,
-                has_join=st.has_join,
-                partitioned=st.partitioned,
-                finished=st.ended,
-                consumed_bytes=st.consumed,
-                expected_input_bytes=st.expected_in,
-                remaining_bytes=remaining,
-                recent_rate_bytes_s=_recent_rate(samples, st.consumed, ex.t),
-                turn_up_counter=st.in_buf.turn_up_counter,
-                build_bytes=st.expected_build,
-                shuffle_bound=st.shuffle_bound,
-                switching=st.pending_switch is not None,
-                output_capacity_bytes_s=ex.stage_output_capacity_bytes_s(sid),
-                end_at=st.end_at,
-                samples=samples,
-                tasks=tasks,
-            )
+        info = self.plane.snapshot()
+        for s in info.stages.values():
+            s.recent_rate_bytes_s = _recent_rate(s.samples, s.consumed_bytes, info.t)
         return info
 
 

@@ -24,8 +24,8 @@ import re
 from dataclasses import dataclass, field
 
 from repro.core.filter import STAGE, TASK, TuningRequest
+from repro.core.runtime_info import DataPlane
 from repro.core.tuner import AutoTuner
-from repro.engine.exec_sim import SimExecutor
 
 AC = "AC"  # add (task) DOP — intra-task
 AP = "AP"  # add (stage) parallelism — intra-stage
@@ -93,7 +93,7 @@ class ScriptExecutor:
         """The controller fires every due action and wakes next at the
         earliest unfired one."""
 
-        def _ctrl(t: float, executor: SimExecutor) -> float:
+        def _ctrl(t: float, plane: DataPlane) -> float:
             for action in self.actions:
                 if action.fired or action.t > t:
                     continue

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.core.filter import STAGE, TASK, FilterDecision, TuningRequest, TuningRequestFilter
 from repro.core.predictor import Prediction, WhatIfService, probe_scan_stage
-from repro.engine.exec_sim import SimExecutor, TuningOutcome
+from repro.core.runtime_info import DataPlane, TuningOutcome
 from repro.engine.plan import StageTree
 
 
@@ -86,7 +86,7 @@ class Constraint:
 class AutoTuner:
     """Fig. 8's auto-tuner: filter + what-if service + dynamic optimizer."""
 
-    executor: SimExecutor
+    plane: DataPlane
     whatif: WhatIfService = field(init=False)
     filter: TuningRequestFilter = field(init=False)
     units: list[TuningUnit] = field(init=False)
@@ -96,9 +96,9 @@ class AutoTuner:
     _last_check: float = field(default=-1e9, repr=False)
 
     def __post_init__(self) -> None:
-        self.filter = TuningRequestFilter(self.executor)
+        self.filter = TuningRequestFilter(self.plane)
         self.whatif = self.filter.whatif
-        self.units = build_tuning_units(self.executor.query.tree)
+        self.units = build_tuning_units(self.plane.tree)
 
     # --------------------------------------------------------------- direct
     def direct(self, req: TuningRequest) -> TuningOutcome:
@@ -112,9 +112,9 @@ class AutoTuner:
         if not decision.accepted:
             out = TuningOutcome(False, decision.reason)
         elif req.kind == TASK:
-            out = self.executor.set_task_dop(req.stage_id, req.new_dop)
+            out = self.plane.set_task_dop(req.stage_id, req.new_dop)
         else:
-            out = self.executor.set_stage_dop(req.stage_id, req.new_dop)
+            out = self.plane.set_stage_dop(req.stage_id, req.new_dop)
         self.log.append(
             TuningLogEntry(info.t, req, out.applied, out.reason, out.latency_s, old)
         )
@@ -151,10 +151,10 @@ class AutoTuner:
     def set_stage_deadline(self, stage_id: int, finish_by_s: float) -> None:
         """Deadline expressed against any stage: resolved to the scan stage
         that indicates its progress."""
-        scan = probe_scan_stage(self.executor.query.tree, stage_id)
+        scan = probe_scan_stage(self.plane.tree, stage_id)
         self.set_constraint(scan, finish_by_s)
 
-    def monitor(self, t: float, executor: SimExecutor) -> float:
+    def monitor(self, t: float, plane: DataPlane) -> float:
         """DOP monitor controller — pass into ``SimExecutor.run``; returns
         the time of its next check.
 

@@ -3,16 +3,9 @@
 Layering (bottom-up): splits -> plan (fragments/stage tree) -> buffers
 (output-buffer ID groups) -> tasks (driver counts)/stages -> scheduler
 (static + dynamic) -> hashjoin (DOP switching) -> exec_sim (byte-flow
-timing data plane). The Spark data plane is ``repro.spark_iqre``.
+timing data plane). ``exec_sim.SimExecutor`` implements the data-plane
+contract that ``repro.core.runtime_info`` declares, so it is the one
+engine module that imports ``repro.core``; no ``repro.core`` module
+imports it, and this package imports no submodule eagerly. The Spark data
+plane is ``repro.spark_iqre``.
 """
-from repro.engine.exec_sim import SimExecutor, SimQuery, StageCost, TuningOutcome
-from repro.engine.plan import StageTree, fragment_plan
-
-__all__ = [
-    "SimExecutor",
-    "SimQuery",
-    "StageCost",
-    "TuningOutcome",
-    "StageTree",
-    "fragment_plan",
-]

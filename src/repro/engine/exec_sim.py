@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster import Cluster, RpcModel, calibration as cal
+from repro.core.runtime_info import QueryInfo, StageInfo, TuningOutcome
 from repro.engine.hashjoin import RebuildOp
 from repro.engine.plan import StageTree
 from repro.engine.scheduler import DynamicScheduler, QueryExecution, schedule_query
@@ -141,16 +142,6 @@ class ByteElasticBuffer:
         self.consumed_since_resize = 0.0
 
 
-@dataclass
-class TuningOutcome:
-    """Result of a runtime DOP request at the executor level."""
-
-    applied: bool
-    reason: str = ""
-    latency_s: float = 0.0
-    rebuild: RebuildOp | None = None
-
-
 @dataclass(slots=True)
 class _StageState:
     stage: Stage
@@ -203,7 +194,8 @@ class _StageState:
 
 
 class SimExecutor:
-    """Runs one SimQuery to completion under runtime DOP control."""
+    """Runs one SimQuery to completion under runtime DOP control; the
+    control plane's ``core.runtime_info.DataPlane``."""
 
     def __init__(
         self,
@@ -216,7 +208,9 @@ class SimExecutor:
         dt: float = cal.SIM_DT_S,
     ) -> None:
         self.query = query
+        self.tree = query.tree
         self.cluster = cluster or Cluster.presto_testbed()
+        self.node_cores = self.cluster.compute_nodes()[0].cores
         self.dt = dt
         self.t = 0.0
         dops: int | dict[int, int] = stage_dop
@@ -390,8 +384,6 @@ class SimExecutor:
                 # no producer is left to read its capacity, and take()
                 # reads none once ended: it needs no more resizes
                 self._buffers = [b for b in self._buffers if b is not out_buf]
-            for task in st.stage.tasks:
-                task.context.finished = True
 
     def _process_pending(self) -> None:
         for st in self.states.values():
@@ -506,10 +498,33 @@ class SimExecutor:
         return TuningOutcome(True, latency_s=latency, rebuild=op)
 
     # ------------------------------------------------------- runtime queries
-    def stage_output_capacity_bytes_s(self, stage_id: int) -> float:
-        """Peak output rate in bytes/s of the stage's probing tasks (all of
-        them while none probes), capped by its output shuffle."""
-        st = self.states[stage_id]
-        if st.rates is None or self.t >= st.rates_until:
-            self._fill_rates(st)
-        return st.output_capacity
+    def selectivity(self, stage_id: int) -> float:
+        return self.query.costs[stage_id].selectivity
+
+    def snapshot(self) -> QueryInfo:
+        """Each stage's runtime facts. A stage's output capacity is the peak
+        output rate in bytes/s of its probing tasks (all of them while none
+        probes), capped by its output shuffle."""
+        info = QueryInfo(t=self.t, done=self.done)
+        for sid, st in self.states.items():
+            if st.rates is None or self.t >= st.rates_until:
+                self._fill_rates(st)
+            info.stages[sid] = StageInfo(
+                stage_id=sid,
+                dop=st.effective_dop(),
+                task_dop=st.stage.task_dop,
+                finished=st.ended,
+                consumed_bytes=st.consumed,
+                expected_input_bytes=st.expected_in,
+                remaining_bytes=(
+                    st.scan_remaining if st.is_scan else max(0.0, st.expected_in - st.consumed)
+                ),
+                turn_up_counter=st.in_buf.turn_up_counter,
+                build_bytes=st.expected_build,
+                shuffle_bound=st.shuffle_bound,
+                switching=st.pending_switch is not None,
+                output_capacity_bytes_s=st.output_capacity,
+                end_at=st.end_at,
+                samples=tuple(st.cum_consumed_samples),
+            )
+        return info

@@ -1,25 +1,15 @@
 """Tasks — the smallest unit of distributed execution (§2).
 
-A task lives on a worker node, runs its fragment on a number of drivers
-(the intra-task DOP, §4.3), and keeps a **task context** with its runtime
-counters (Fig. 18's lowest level: fetched periodically by the
-coordinator's runtime information collector). Each task also keeps the
-global remote split set (§4.3) so new drivers can be wired to upstream
-tasks without the coordinator.
+A task lives on a worker node and runs its fragment on a number of drivers
+(the intra-task DOP, §4.3). Each task also keeps the global remote split
+set (§4.3) so new drivers can be wired to upstream tasks without the
+coordinator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from repro.engine.splits import RemoteSplit, RemoteSplitSet
-
-
-@dataclass
-class TaskContext:
-    """Runtime counters owned by the task, aggregated stage-/query-level by
-    the collector (§5.1, Fig. 18)."""
-
-    finished: bool = False
 
 
 @dataclass
@@ -32,7 +22,6 @@ class Task:
     #: driver count — the task DOP (§4.3).
     dop: int = 1
     remote_splits: RemoteSplitSet = field(default_factory=RemoteSplitSet)
-    context: TaskContext = field(default_factory=TaskContext)
 
     @property
     def task_id(self) -> str:

@@ -71,8 +71,8 @@ def run() -> dict:
     shift = {}
     if len(snapshots) >= 2:
         shift = {
-            "early_computational": computational_bottlenecks(snapshots[0], snapshots[1]),
-            "late_computational": computational_bottlenecks(snapshots[-2], snapshots[-1]),
+            "early_computational": computational_bottlenecks(ex.tree, snapshots[0], snapshots[1]),
+            "late_computational": computational_bottlenecks(ex.tree, snapshots[-2], snapshots[-1]),
         }
     # Throughput of the join (S1) at each shuffle-stage DOP step.
     s1 = collector.collect()[1]

@@ -18,7 +18,9 @@ are run with generic ramp-up scripts for the Fig. 25b–d shapes.
 from __future__ import annotations
 
 from repro.core import AutoTuner, ScriptExecutor
+from repro.core.script import AP
 from repro.engine.exec_sim import SimExecutor
+from repro.experiments.q3_intratask import inc_sweep
 from repro.experiments.report import reduction_pct
 from repro.queries.tpch import QUERIES
 
@@ -78,17 +80,7 @@ def _run_scripted(name: str, script_text: str) -> dict:
 
 def run() -> dict:
     q3 = _run_scripted("Q3", Q3_SCRIPT)
-
-    intra_stage_inc = {}
-    for n in (2, 4, 8):
-        exi = SimExecutor(QUERIES["Q3"].sim_query(), stage_dop=1, task_dop=1)
-        steps = "\n".join(
-            f"AP S{sid},{d // 2},{d} @ {30 * i + 30}"
-            for i, d in enumerate(d for d in (2, 4, 8) if d <= n)
-            for sid in (1, 3)
-        )
-        sci = ScriptExecutor.from_text(steps)
-        intra_stage_inc[n] = exi.run(controllers=[sci.controller(AutoTuner(exi))])
+    intra_stage_inc = inc_sweep(AP)
 
     others = {name: _run_scripted(name, s) for name, s in GENERIC_SCRIPTS.items()}
     return {

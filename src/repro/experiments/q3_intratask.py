@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 
 from repro.core import AutoTuner, RuntimeInfoCollector, ScriptExecutor, rate_at
+from repro.core.script import AC
 from repro.engine.exec_sim import SimExecutor
 from repro.experiments.report import reduction_pct
 from repro.queries.tpch import QUERIES
@@ -40,6 +41,22 @@ AC S1,1,2 @ 130
 AC S1,2,4 @ 180
 AC S1,4,8 @ 280
 """
+
+
+def inc_sweep(op: str) -> dict[int, float]:
+    """Fig. 22's Inc sweep on Q3, by final DOP n = 2, 4, 8: start at DOP 1
+    and double stages 1 and 3 every 30 s up to n, by ``op`` (AC: task DOP;
+    AP: stage DOP, §6.3's IntraStage-Inc)."""
+    out = {}
+    for n in (2, 4, 8):
+        ex = SimExecutor(QUERIES["Q3"].sim_query(), stage_dop=1, task_dop=1)
+        script = ScriptExecutor.from_text("\n".join(
+            f"{op} S{sid},{d // 2},{d} @ {30 * i + 30}"
+            for i, d in enumerate(d for d in (2, 4, 8) if d <= n)
+            for sid in (1, 3)
+        ))
+        out[n] = ex.run(controllers=[script.controller(AutoTuner(ex))])
+    return out
 
 
 def measure_driver_generation_ms() -> float:
@@ -72,16 +89,7 @@ def run() -> dict:
     intra_task = {}
     for n in (1, 2, 4, 8):
         intra_task[n] = SimExecutor(qdef.sim_query(), stage_dop=1, task_dop=n).run()
-    intra_task_inc = {}
-    for n in (2, 4, 8):
-        exi = SimExecutor(qdef.sim_query(), stage_dop=1, task_dop=1)
-        steps = "\n".join(
-            f"AC S{sid},{d // 2},{d} @ {30 * i + 30}"
-            for i, d in enumerate(d for d in (2, 4, 8) if d <= n)
-            for sid in (1, 3)
-        )
-        sci = ScriptExecutor.from_text(steps)
-        intra_task_inc[n] = exi.run(controllers=[sci.controller(AutoTuner(exi))])
+    intra_task_inc = inc_sweep(AC)
 
     return {
         "paper": PAPER,

@@ -28,20 +28,20 @@ class TestComputationalBottleneck:
         ex = SimExecutor(join_query(probe_bytes=4 * GB, probe_rate=20.0,
                                     partitioned=False))
         a, b = _two_snapshots(ex)
-        assert 1 in computational_bottlenecks(a, b)
+        assert 1 in computational_bottlenecks(ex.tree, a, b)
 
     def test_downstream_of_bottleneck_not_flagged(self):
         ex = SimExecutor(join_query(probe_bytes=4 * GB, probe_rate=20.0,
                                     partitioned=False))
         a, b = _two_snapshots(ex)
         # S0 starves behind the slow join: its counter keeps climbing.
-        assert 0 not in computational_bottlenecks(a, b)
+        assert 0 not in computational_bottlenecks(ex.tree, a, b)
 
     def test_scan_stages_never_flagged(self):
         ex = SimExecutor(join_query(probe_bytes=4 * GB, probe_rate=20.0,
                                     partitioned=False))
         a, b = _two_snapshots(ex)
-        flagged = computational_bottlenecks(a, b)
+        flagged = computational_bottlenecks(ex.tree, a, b)
         assert 2 not in flagged and 3 not in flagged
 
     def test_finished_stages_excluded(self):
@@ -50,7 +50,7 @@ class TestComputationalBottleneck:
         a = c.collect()
         ex.run()
         b = c.collect()
-        assert computational_bottlenecks(a, b) == []
+        assert computational_bottlenecks(ex.tree, a, b) == []
 
     def test_idle_stage_not_flagged(self):
         # before the build finishes the join processes nothing — it must
@@ -63,7 +63,7 @@ class TestComputationalBottleneck:
         for _ in range(20):
             ex.step()
         b = c.collect()
-        assert 1 not in computational_bottlenecks(a, b)
+        assert 1 not in computational_bottlenecks(ex.tree, a, b)
 
 
 class TestNetworkBottleneck:

@@ -280,27 +280,28 @@ class TestRebuildDop:
             ex.step()
         s = collector.collect()[1]
         assert (s.dop, s.switching) == (4, False)
-        assert [t.task_id for t in s.tasks] == op.new_task_ids  # old group retired
+        # the old group is retired
+        assert [t.task_id for t in ex.exe.stages[1].tasks] == op.new_task_ids
 
     def test_broadcast_reports_rebuilding_tasks_but_they_do_not_probe(self):
         ex, op, collector = self.start(False, 1, 4)
-        one_task = ex.stage_output_capacity_bytes_s(1)
+        one_task = ex.snapshot()[1].output_capacity_bytes_s
         while ex.t < op.done_at:
             s = collector.collect()[1]
             assert (s.dop, s.switching) == (4, False)
             assert s.output_capacity_bytes_s == one_task
             ex.step()
         assert collector.collect()[1].dop == 4
-        assert ex.stage_output_capacity_bytes_s(1) == pytest.approx(4 * one_task)
+        assert ex.snapshot()[1].output_capacity_bytes_s == pytest.approx(4 * one_task)
 
     def test_output_capacity_goes_stale_at_the_next_activation(self):
         # the cached output capacity keeps the rates' rates_until rule, so
         # a stage no tick refills (one that has ended) still reads the
         # tasks probing now: here the rebuilt ones, from done_at
         ex, op, _ = self.start(False, 1, 4)
-        one_task = ex.stage_output_capacity_bytes_s(1)
+        one_task = ex.snapshot()[1].output_capacity_bytes_s
         ex.t = op.done_at
-        assert ex.stage_output_capacity_bytes_s(1) == pytest.approx(4 * one_task)
+        assert ex.snapshot()[1].output_capacity_bytes_s == pytest.approx(4 * one_task)
 
 
 class TestShuffleCaps:
@@ -347,9 +348,9 @@ class TestRuntimeQueries:
 
     def test_capacity_queries(self):
         ex = SimExecutor(linear_query(sel=1.0), task_dop=2)
-        assert ex.stage_output_capacity_bytes_s(1) == pytest.approx(200 * MB)
+        assert ex.snapshot()[1].output_capacity_bytes_s == pytest.approx(200 * MB)
         ex = SimExecutor(linear_query(), task_dop=2)
-        assert ex.stage_output_capacity_bytes_s(1) == pytest.approx(200 * MB * 1e-6)
+        assert ex.snapshot()[1].output_capacity_bytes_s == pytest.approx(200 * MB * 1e-6)
 
     def test_stage_finished(self):
         ex = SimExecutor(linear_query())

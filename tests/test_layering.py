@@ -1,5 +1,7 @@
 """The simulator plane loads no data-plane library, nor numpy: it runs on
-the standard library alone (DESIGN.md §5).
+the standard library alone (DESIGN.md §5). The control plane loads no
+simulator: ``repro.core`` declares the data-plane contract that
+``engine.exec_sim`` implements (DESIGN.md §2.3).
 
 Only ``synth_data``, ``oracle`` and ``spark_iqre`` may import pandas,
 pyarrow, pyspark or duckdb at module level, and ``queries.tpch`` only
@@ -13,21 +15,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 DATA_PLANE = ("numpy", "pandas", "pyarrow", "pyspark", "py4j", "duckdb")
 
-_REPORT = (
-    "\nimport json, sys\n"
-    f"print(json.dumps([m for m in {DATA_PLANE!r} if m in sys.modules]))\n"
-)
 
-
-def loaded_data_plane(code: str) -> set[str]:
-    """The data-plane libraries in ``sys.modules`` after a fresh
-    interpreter runs ``code`` against this checkout's ``src``."""
+def loaded(code: str, modules: tuple[str, ...] = DATA_PLANE) -> set[str]:
+    """The ``modules`` (by default the data-plane libraries) in
+    ``sys.modules`` after a fresh interpreter runs ``code`` against this
+    checkout's ``src``."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    report = f"\nimport json, sys\nprint(json.dumps([m for m in {modules!r} if m in sys.modules]))"
     out = subprocess.run(
-        [sys.executable, "-c", code + _REPORT],
+        [sys.executable, "-c", code + report],
         env=dict(os.environ, PYTHONPATH=path),
         cwd=ROOT, capture_output=True, text=True, timeout=300, check=True,
     )
@@ -44,13 +45,31 @@ def test_simulator_plane_loads_no_data_plane_library():
         "    SimExecutor(q.sim_query())\n"
         "prediction.run()\n"
     )
-    assert loaded_data_plane(code) == set()
+    assert loaded(code) == set()
 
 
 def test_table1_starts_no_spark():
     code = "from repro.experiments import table1\ntable1.run(sf=0.001)\n"
-    assert loaded_data_plane(code) & {"pyspark", "py4j", "duckdb"} == set()
+    assert loaded(code) & {"pyspark", "py4j", "duckdb"} == set()
 
 
 def test_detector_flags_each_library():
-    assert {"pandas", "pyspark", "py4j", "duckdb"} <= loaded_data_plane("import repro.oracle")
+    assert {"pandas", "pyspark", "py4j", "duckdb"} <= loaded("import repro.oracle")
+
+
+def test_control_plane_loads_no_simulator():
+    assert loaded("import repro.core\n", ("repro.engine.exec_sim",)) == set()
+
+
+@pytest.mark.parametrize("first, second", [
+    ("repro.engine", "repro.core"),
+    ("repro.core", "repro.engine"),
+    ("repro.engine.exec_sim", "repro.core"),
+])
+def test_engine_and_core_import_in_either_order(first, second):
+    # exec_sim imports repro.core, which imports engine modules: neither
+    # exec_sim first nor core first may meet a partly initialised module
+    code = f"import {first}\nimport {second}\nimport repro.engine.exec_sim, repro.core\n"
+    assert loaded(code, ("repro.engine.exec_sim", "repro.core")) == {
+        "repro.engine.exec_sim", "repro.core",
+    }

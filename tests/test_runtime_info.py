@@ -22,14 +22,12 @@ class TestCollector:
         assert sorted(info.stages) == [0, 1, 2, 3]
         s1 = info[1]
         assert s1.dop == 2
-        assert s1.has_join and not s1.partitioned
-        assert len(s1.tasks) == 2
-        assert s1.tasks[0].task_id == "task1_0"
+        assert ex.tree[1].has_join and not ex.tree[1].partitioned
 
     def test_scan_stages_listed(self):
         ex = SimExecutor(join_query(partitioned=False))
         info = RuntimeInfoCollector(ex).collect()
-        assert {s.stage_id for s in info.stages.values() if s.is_scan} == {2, 3}
+        assert {s.stage_id for s in info.stages.values() if ex.tree[s.stage_id].is_scan} == {2, 3}
 
     def test_progress_fraction(self):
         ex = SimExecutor(linear_query(scan_bytes=1 * GB))
@@ -44,7 +42,6 @@ class TestCollector:
         info = RuntimeInfoCollector(ex).collect()
         assert info.done
         assert all(s.finished for s in info.stages.values())
-        assert all(t.finished for s in info.stages.values() for t in s.tasks)
 
     def test_snapshot_unchanged_by_later_steps(self):
         ex = SimExecutor(join_query(partitioned=False))
@@ -75,37 +72,47 @@ class TestCollector:
 
 CORE = Path(repro.core.__file__).parent
 EXPERIMENTS = Path(repro.experiments.__file__).parent
-#: the executor's runtime queries: every ``stage_*``
-EXECUTOR_QUERIES = {name for name in dir(SimExecutor) if name.startswith("stage_")}
 
 
-def executor_reads(path: Path) -> list[tuple[int, str]]:
-    """(line, access) for each direct read of executor state in ``path``:
-    the ``states`` table or a call to one of ``EXECUTOR_QUERIES``."""
+def plane_reads(source: str) -> list[tuple[int, str]]:
+    """(line, access) for each read of simulator internals in ``source``:
+    an import of ``repro.engine.exec_sim``, or the executor's ``states``."""
     reads = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr == "states":
             reads.append((node.lineno, ".states"))
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr in EXECUTOR_QUERIES):
-            reads.append((node.lineno, f".{node.func.attr}()"))
+        elif isinstance(node, ast.Import):
+            if "repro.engine.exec_sim" in {a.name for a in node.names}:
+                reads.append((node.lineno, "import exec_sim"))
+        elif isinstance(node, ast.ImportFrom):
+            mods = {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+            if "repro.engine.exec_sim" in mods:
+                reads.append((node.lineno, "import exec_sim"))
     return reads
 
 
 class TestSingleReadPath:
-    """The collector is the only read of executor state; everything else in
-    ``repro.core`` and ``repro.experiments`` reads its snapshots."""
+    """``repro.core`` reads a data plane only through the ``DataPlane``
+    contract, and ``repro.experiments`` reads collector snapshots, not the
+    executor's ``states``."""
 
-    @pytest.mark.parametrize(
-        "name", sorted(p.name for p in CORE.glob("*.py") if p.name != "runtime_info.py")
-    )
+    @pytest.mark.parametrize("name", sorted(p.name for p in CORE.glob("*.py")))
     def test_module_reads_snapshots_only(self, name):
-        assert executor_reads(CORE / name) == []
+        assert plane_reads((CORE / name).read_text()) == []
 
     @pytest.mark.parametrize("name", sorted(p.name for p in EXPERIMENTS.glob("*.py")))
     def test_experiment_reads_snapshots_only(self, name):
-        assert executor_reads(EXPERIMENTS / name) == []
+        reads = plane_reads((EXPERIMENTS / name).read_text())
+        assert [r for r in reads if r[1] == ".states"] == []
 
-    def test_collector_reads_the_executor(self):
-        reads = {access for _, access in executor_reads(CORE / "runtime_info.py")}
-        assert {".states", ".stage_output_capacity_bytes_s()"} <= reads
+    def test_detector_flags_each_read(self):
+        src = (
+            "from repro.engine.exec_sim import SimExecutor\n"
+            "from repro.engine import exec_sim, plan\n"
+            "import repro.engine.exec_sim\n"
+            "from repro.engine.plan import StageTree\n"
+            "x = ex.states[1]\n"
+        )
+        assert plane_reads(src) == [
+            (1, "import exec_sim"), (2, "import exec_sim"), (3, "import exec_sim"), (5, ".states"),
+        ]

@@ -35,10 +35,6 @@ class TestTask:
         t.drop_upstream_task("task2_0")
         assert [s.task_id for s in t.upstream_addresses()] == ["task2_1"]
 
-    def test_context_defaults(self):
-        t = Task(2, 0, "compute0")
-        assert not t.context.finished
-
 
 class TestStage:
     def test_dop_is_task_count(self):
