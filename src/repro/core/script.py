@@ -21,7 +21,7 @@ the paper's last adjustments in §6.3/§6.4.1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.filter import STAGE, TASK, TuningRequest
 from repro.core.runtime_info import DataPlane

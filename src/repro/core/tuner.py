@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.filter import STAGE, TASK, FilterDecision, TuningRequest, TuningRequestFilter
+from repro.core.filter import STAGE, TASK, TuningRequest, TuningRequestFilter
 from repro.core.predictor import Prediction, WhatIfService, probe_scan_stage
 from repro.core.runtime_info import DataPlane, TuningOutcome
 from repro.engine.plan import StageTree

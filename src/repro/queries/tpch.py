@@ -29,7 +29,7 @@ run. DESIGN.md §5 states the rule; ``tests/test_layering.py`` guards it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.cluster import calibration as cal
@@ -172,9 +172,11 @@ def q3_partial(t: dict[str, DataFrame]) -> DataFrame:
     c = t["customer"].where(F.col("c_mktsegment") == "BUILDING")
     o = t["orders"].where(F.col("o_orderdate") < F.lit("1995-03-15").cast("timestamp"))
     li = t["lineitem"].where(F.col("l_shipdate") > F.lit("1995-03-15").cast("timestamp"))
+    # Fig. 21: S3 builds on customer, S1 on S3's output; both broadcast,
+    # so the probe keeps its partitioning through the aggregate.
+    oc = o.join(F.broadcast(c), o.o_custkey == c.c_custkey).select("o_orderkey", "o_orderdate")
     return (
-        li.join(o, li.l_orderkey == o.o_orderkey)
-        .join(c, o.o_custkey == c.c_custkey)
+        li.join(F.broadcast(oc), li.l_orderkey == oc.o_orderkey)
         .groupBy("l_orderkey", "o_orderdate")
         .agg(F.sum(F.col("l_extendedprice") * (1 - F.col("l_discount"))).alias("revenue"))
     )
@@ -234,7 +236,7 @@ INNER JOIN orders ON l_orderkey = o_orderkey
 def q2j_partial(t: dict[str, DataFrame]) -> DataFrame:
     import pyspark.sql.functions as F
 
-    li, o = t["lineitem"], t["orders"]
+    li, o = t["lineitem"], t["orders"].hint("shuffle_hash")  # Fig. 15's partitioned hash join
     return (
         li.join(o, li.l_orderkey == o.o_orderkey)
         .agg(F.count("l_orderkey").alias("cnt"))
@@ -286,7 +288,7 @@ def qshuf_partial(t: dict[str, DataFrame]) -> DataFrame:
     import pyspark.sql.functions as F
 
     o = t["orders"]
-    c = t["customer"].where(F.col("c_nationkey") == 9)
+    c = t["customer"].where(F.col("c_nationkey") == 9).hint("shuffle_hash")
     return o.join(c, o.o_custkey == c.c_custkey).agg(F.count("o_orderkey").alias("cnt"))
 
 

@@ -18,7 +18,14 @@ paper's scripts tune, "AP S1…") runs at exactly the batch's DOP; the
 session's ``spark.sql.shuffle.partitions`` is held at 1 for the run,
 because Spark raises a plan-level DOP to it. ``batch_executed_dops``
 reads each batch's task count of that stage back from Spark's status
-tracker.
+tracker. Each ``partial`` runs the hash joins its stage tree names: Q3
+probes two broadcast builds, so its joins and partial aggregate keep the
+probe's partitioning and every stage of a Q3 batch that reads a shuffle
+runs at the batch's DOP; Q2J and QSHUF shuffle their build side to the
+probe's partitioning for a shuffled hash join. Only the exchange into a
+partial aggregate that does not group by the probe key (Q1's flags, a
+global count) runs at 1 task, at the held conf. The merge reads all
+partials in one task, so it shuffles nothing.
 
 The data keeps flowing while the DOP changes: up to ``IN_FLIGHT`` batches
 run at once, so the next batch scans while the previous one shuffles, as
@@ -141,8 +148,8 @@ def run_microbatch(
 
     The inputs are read once per run: the probe and every build table are
     materialized once, concurrently (the build side is the §4.5
-    intermediate data cache — a DOP change reshuffles the cached rows and
-    rescans nothing). Batch *i* takes its ``xxhash64`` slice of the stored
+    intermediate data cache — a DOP change reshuffles or rebroadcasts the
+    cached rows and rescans nothing). Batch *i* takes its ``xxhash64`` slice of the stored
     probe and repartitions it on ``probe_key`` into its DOP. The slice hash
     differs from the Murmur3 hash Spark partitions with, so a slice spreads
     over all of its partitions. Up to ``IN_FLIGHT`` batches run at once,
@@ -211,7 +218,10 @@ def run_microbatch(
             # The status store is fed by the listener bus; let it catch up.
             sc._jsc.sc().listenerBus().waitUntilEmpty()
             run.batch_executed_dops = [_executed_dop(sc, t) for t in tags]
-            run.result = qdef.merge(reduce(DataFrame.unionByName, run.partials))
+            # One task reads every partial: a partial keeps its batch's
+            # partitions (Q3's, its DOP), and the merge would otherwise
+            # shuffle each of them at the restored conf.
+            run.result = qdef.merge(reduce(DataFrame.unionByName, run.partials).coalesce(1))
         except BaseException:
             for f in [*stored.values(), *batches]:
                 if f.exception() is None:  # waits for a batch in flight

@@ -5,13 +5,14 @@ change the answer — every run is diffed against the DuckDB oracle.
 """
 import threading
 import warnings
+from collections import Counter
 
 import pyspark.sql.functions as F
 import pytest
 
 from repro.oracle import assert_equivalent
 from repro.queries.tpch import QUERIES, load_tables
-from repro.spark_iqre import run_microbatch
+from repro.spark_iqre import microbatch, run_microbatch
 
 SF = 0.005
 #: The queries with a micro-batch form: those whose QueryDef names a probe table.
@@ -268,3 +269,125 @@ class TestJobGroupInherited:
         tasks = {sc.statusTracker().getStageInfo(s).numTasks
                  for j in in_group for s in sc.statusTracker().getJobInfo(j).stageIds}
         assert run.batch_dops[1] in tasks
+
+
+#: The physical join that runs a stage-tree ``hash_join``, by its
+#: ``partitioned`` flag.
+JOIN_OPERATOR = {False: "BroadcastHashJoin", True: "ShuffledHashJoin"}
+JOINED = [q for q in MICROBATCH
+          if any(f.has_join for f in QUERIES[q].sim_query().tree.fragments.values())]
+
+
+def plan_nodes(df) -> list[str]:
+    """Node names of the physical plan ``df`` ran (call after an action):
+    AQE's final plan, query stages and broadcast builds included."""
+    names = []
+
+    def walk(node):
+        names.append(node.nodeName())
+        kind = node.getClass().getSimpleName()
+        if kind == "AdaptiveSparkPlanExec":
+            return walk(node.executedPlan())
+        if kind.endswith("QueryStageExec"):
+            return walk(node.plan())
+        children = node.children()
+        for i in range(children.size()):
+            walk(children.apply(i))
+
+    walk(df._jdf.queryExecution().executedPlan())
+    return names
+
+
+@pytest.fixture(params=["-1", None], ids=["broadcast-off", "spark-default"])
+def broadcast_threshold(request, spark):
+    """The session's auto-broadcast threshold (off, as in perfbench), then
+    Spark's default: the join kinds come from the plan, not from sizes."""
+    key = "spark.sql.autoBroadcastJoinThreshold"
+    before = spark.conf.get(key)
+    if request.param is None:
+        spark.conf.unset(key)
+    else:
+        spark.conf.set(key, request.param)
+    yield
+    spark.conf.set(key, before)
+
+
+def _tree_joins(name: str) -> Counter:
+    tree = QUERIES[name].sim_query().tree
+    return Counter(JOIN_OPERATOR[f.partitioned] for f in tree.fragments.values() if f.has_join)
+
+
+def _assert_runs_tree_joins(name: str, df) -> None:
+    names = plan_nodes(df)
+    assert Counter(n for n in names if n.endswith("Join")) == _tree_joins(name)
+    assert "Sort" not in names
+
+
+class TestJoinPlans:
+    """Each join of a query's stage tree runs as the hash join it names,
+    single-shot and in every batch, with no sort anywhere."""
+
+    def test_tree_joins_cover_both_kinds(self):
+        assert JOINED == ["Q2J", "Q3", "QSHUF"]
+        assert set(sum(map(_tree_joins, JOINED), Counter())) == set(JOIN_OPERATOR.values())
+
+    @pytest.mark.parametrize("name", JOINED)
+    def test_single_shot(self, spark, tables, broadcast_threshold, name):
+        qdef = QUERIES[name]
+        df = qdef.spark_impl(spark, {t: tables[t] for t in qdef.tables})
+        df.collect()
+        _assert_runs_tree_joins(name, df)
+
+    @pytest.mark.parametrize("name", JOINED)
+    def test_each_batch(self, spark, tables, broadcast_threshold, name, monkeypatch):
+        qdef = QUERIES[name]
+        ran = []
+        partial = qdef.partial
+
+        def recorded(t):
+            ran.append(partial(t))
+            return ran[-1]
+
+        monkeypatch.setattr(qdef, "partial", recorded)
+        run = run_microbatch(spark, name, tables, n_batches=2, dop_schedule=[3, 5])
+        run.release()
+        assert len(ran) == 2
+        for df in ran:
+            _assert_runs_tree_joins(name, df)
+
+
+class TestBatchStages:
+    def test_every_q3_shuffle_read_runs_at_the_batch_dop(self, spark, tables, monkeypatch):
+        # With the paper's broadcast joins, the probe's partitioning feeds
+        # the joins and the partial aggregate: no stage falls back to the
+        # held one-partition conf.
+        sc = spark.sparkContext
+        tags = []
+        run_batch = microbatch._run_batch
+
+        def recorded(sc_, qdef, t, tag):
+            tags.append(tag)
+            return run_batch(sc_, qdef, t, tag)
+
+        monkeypatch.setattr(microbatch, "_run_batch", recorded)
+        schedule = [_off_default(sc, 3, 5), _off_default(sc, 32, 48)]
+        run = run_microbatch(spark, "Q3", tables, n_batches=2, dop_schedule=schedule)
+        run.release()
+        # As _executed_dop reads them: AQE runs each query stage as its own
+        # job, and a job's stage that read a shuffle is its last one.
+        tracker, jvm_tracker = sc._jsc.statusTracker(), sc._jsc.sc().statusTracker()
+        dops = []
+        for tag in tags:
+            stages = [sorted(tracker.getJobInfo(j).stageIds())
+                      for j in jvm_tracker.getJobIdsForTag(tag)]
+            dops.append(sorted({tracker.getStageInfo(s[-1]).numTasks()
+                                for s in stages if len(s) > 1}))
+        assert sorted(dops) == [[d] for d in sorted(schedule)]
+
+    @pytest.mark.parametrize("name", MICROBATCH)
+    def test_merge_reads_the_partials_without_a_shuffle(self, spark, tables, name):
+        run = run_microbatch(spark, name, tables, n_batches=3, dop_schedule=[2, 16, 4])
+        run.result.collect()
+        names = plan_nodes(run.result)
+        run.release()
+        assert not [n for n in names if "Exchange" in n]

@@ -1,6 +1,5 @@
 """Tests for splits (repro.engine.splits)."""
 import pandas as pd
-import pytest
 
 from repro.engine.splits import RemoteSplit, RemoteSplitSet, SplitSource, SystemSplit
 

@@ -1,5 +1,4 @@
 """Tests for the TPC-H-lite generators (repro.synth_data)."""
-import numpy as np
 import pandas as pd
 import pytest
 

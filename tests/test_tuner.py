@@ -1,10 +1,8 @@
 """Tests for the DOP auto-tuner (§5.4)."""
-import pytest
-
 from repro.core import AutoTuner, STAGE, TASK, TuningRequest, build_tuning_units
 from repro.engine.exec_sim import SimExecutor
 from repro.queries.tpch import QUERIES
-from tests.test_exec_sim import join_query, linear_query
+from tests.test_exec_sim import linear_query
 
 GB = 1e9
 
