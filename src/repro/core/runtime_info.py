@@ -11,8 +11,9 @@ read the collector's ``QueryInfo``.
 
 A stage's progress is one series of ``(t, cumulative consumed bytes)``
 samples. Every rate is derived from it here: the recent consumption rate
-(§5.2) by the collector, and the rate or volume over any past interval by
-:func:`rate_at` and :func:`consumed_between`.
+(§5.2) from the clock the collector stamps on the snapshot, and the rate
+or volume over any past interval by :func:`rate_at` and
+:func:`consumed_between`.
 """
 from __future__ import annotations
 
@@ -21,6 +22,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from repro.engine.hashjoin import RebuildOp
     from repro.engine.plan import StageTree
 
@@ -48,16 +51,20 @@ class StageInfo:
     output_capacity_bytes_s: float
     #: when the stage finished (None while it runs).
     end_at: float | None = None
-    #: the progress series: (t, cumulative consumed bytes), in time order.
-    samples: tuple[tuple[float, float], ...] = ()
-    #: derived from ``samples`` by the collector (§5.2).
-    recent_rate_bytes_s: float = 0.0
+    #: the progress series: (t, cumulative consumed bytes), in time order;
+    #: any read-only sequence that a later change leaves as it is.
+    samples: Sequence[tuple[float, float]] = ()
+    #: the clock of the snapshot, stamped by the collector (None before).
+    collected_at: float | None = None
 
     @property
-    def progress(self) -> float:
-        if self.expected_input_bytes <= 0:
-            return 1.0 if self.finished else 0.0
-        return min(1.0, self.consumed_bytes / self.expected_input_bytes)
+    def recent_rate_bytes_s(self) -> float:
+        """The §5.2 recent rate, derived from ``samples`` back from
+        ``collected_at`` (0.0 before collection). It is derived on read, as
+        a reader needs the rates of a few stages of a snapshot."""
+        if self.collected_at is None:
+            return 0.0
+        return _recent_rate(self.samples, self.consumed_bytes, self.collected_at)
 
 
 @dataclass
@@ -105,14 +112,15 @@ class DataPlane(Protocol):
 @dataclass
 class RuntimeInfoCollector:
     """The coordinator-side collector: ``collect()`` takes the data plane's
-    snapshot and derives each stage's recent rate from its samples."""
+    snapshot and stamps each stage with its clock, from which the stage's
+    recent rate is derived."""
 
     plane: DataPlane
 
     def collect(self) -> QueryInfo:
         info = self.plane.snapshot()
         for s in info.stages.values():
-            s.recent_rate_bytes_s = _recent_rate(s.samples, s.consumed_bytes, info.t)
+            s.collected_at = info.t
         return info
 
 

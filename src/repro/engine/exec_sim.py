@@ -24,22 +24,24 @@ output shuffle cap change only when a task or driver count changes (which
 also moves the CPU share of every stage on the same nodes) or when a
 rebuilt task starts probing. Each stage caches its per-tick rates and its
 output capacity, and refills them after a topology change or at its next
-activation; a tick steps only the stages that have not ended, reading and
-writing buffer fields directly. Controllers (script executor, DOP monitor)
-return the time of their next wake, and ``run`` calls none of them on the
-ticks in between.
+activation. A tick is one frame, ``step``: it steps only the stages that
+have not ended, reading and writing buffer fields directly, and resizes
+the live buffers in one call every 500 ms. Controllers (script executor,
+DOP monitor) return the time of their next wake, and ``run`` calls none
+of them on the ticks in between.
 
 Data moves only as byte volumes here. The engine keeps the *topology*
-beside it: stages, tasks with their driver counts, output-buffer ID groups
-and remote split sets. The dynamic scheduler updates that topology on every
-DOP change, and a retired task group leaves it through the same
-``QueryExecution.retire_task`` as any other removed task. The control plane
-(scheduler, tuner, filter) thus acts on real engine structures, while the
-byte-flow arithmetic stays cheap enough to simulate thousands of seconds in
-milliseconds.
+beside it: stages, tasks with their driver counts, and output-buffer ID
+groups, whose id table also stands for §4.3's remote split sets. The
+dynamic scheduler updates that topology on every DOP change, and a retired
+task group leaves it through the same ``QueryExecution.retire_task`` as
+any other removed task. The control plane (scheduler, tuner, filter) thus
+acts on real engine structures, while the byte-flow arithmetic stays cheap
+enough to simulate thousands of seconds in milliseconds.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.cluster import Cluster, RpcModel, calibration as cal
@@ -136,10 +138,15 @@ class ByteElasticBuffer:
         self.consumed_since_resize += got
         return got
 
-    def resize(self) -> None:
-        """The 500 ms resize: capacity follows the recent consumption."""
-        self.capacity = max(float(DEFAULT_PAGE_BYTES), 1.2 * self.consumed_since_resize)
-        self.consumed_since_resize = 0.0
+    @staticmethod
+    def resize_all(buffers) -> None:
+        """The 500 ms resize of each buffer: capacity follows the recent
+        consumption, never below one page."""
+        page = float(DEFAULT_PAGE_BYTES)
+        for buf in buffers:
+            cap = 1.2 * buf.consumed_since_resize
+            buf.capacity = cap if cap > page else page
+            buf.consumed_since_resize = 0.0
 
 
 @dataclass(slots=True)
@@ -191,6 +198,31 @@ class _StageState:
         if self.pending_switch is not None:
             return self.stage.dop - len(self.pending_switch.new_task_ids)
         return self.stage.dop
+
+
+class _SampleView(Sequence):
+    """A read-only view of the first ``len(series)`` samples of an
+    append-only progress series, in O(1): a later append leaves it as it
+    is, so a snapshot need not copy the series."""
+
+    __slots__ = ("_series", "_n")
+
+    def __init__(self, series: list[tuple[float, float]]) -> None:
+        self._series = series
+        self._n = len(series)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int) -> tuple[float, float]:
+        if 0 <= i < self._n:
+            return self._series[i]
+        if -self._n <= i < 0:
+            return self._series[i + self._n]
+        raise IndexError("sample index out of range")
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class SimExecutor:
@@ -261,8 +293,11 @@ class SimExecutor:
             b for st in self.states.values() for b in (st.in_buf, st.build_buf) if b is not None
         ]
         self._last_resize = 0.0
-        #: a partitioned DOP switch may be in flight.
-        self._switching = False
+        #: bytes/s one task ingests of a join's build side.
+        self._build_rate = cal.mb_s(cal.BUILD_RATE_MB_S)
+        #: the earliest ``done_at`` of the partitioned DOP switches in
+        #: flight (inf while none is).
+        self._switch_due = _INF
         for sid, pst in self.states.items():
             for build in (False, True):
                 feeders = [
@@ -275,10 +310,9 @@ class SimExecutor:
                     self.states[child].out_feeders = feeders
 
     # ------------------------------------------------------------------ flow
-    def _cpu_scale(self, node_id: str) -> float:
-        return self.cluster.node(node_id).cpu_scale()
-
     def _probing_tasks(self, st: _StageState):
+        if not st.active_from:  # no task was ever rebuilt: every task probes
+            return st.stage.tasks
         return [t for t in st.stage.tasks if st.active_from.get(t.task_id, 0.0) <= self.t]
 
     def _input_bytes_s(self, st: _StageState, tasks) -> float:
@@ -286,9 +320,10 @@ class SimExecutor:
         rate = cal.mb_s(st.cost.per_driver_rate_mb_s)
         if st.cost.per_task_rate:
             return len(tasks) * rate
+        node = self.cluster.node
         total = 0.0
         for task in tasks:
-            total += task.dop * self._cpu_scale(task.node_id) * rate
+            total += task.dop * node(task.node_id).cpu_scale() * rate
         return total
 
     def _shuffle_bytes_s(self, st: _StageState, tasks) -> float:
@@ -301,15 +336,14 @@ class SimExecutor:
         """Cache the stage's per-tick rates and output capacity until its
         next activation."""
         probing = self._probing_tasks(st)
-        st.rates = (
-            self._input_bytes_s(st, probing) * self.dt,
-            self._shuffle_bytes_s(st, probing) * self.dt,
-        )
-        tasks = probing or st.stage.tasks  # while none probes: the tasks rebuilding
-        st.output_capacity = min(
-            self._input_bytes_s(st, tasks) * st.cost.selectivity, self._shuffle_bytes_s(st, tasks)
-        )
-        st.rates_until = min((a for a in st.active_from.values() if a > self.t), default=float("inf"))
+        in_bytes_s = self._input_bytes_s(st, probing)
+        out_bytes_s = self._shuffle_bytes_s(st, probing)
+        st.rates = (in_bytes_s * self.dt, out_bytes_s * self.dt)
+        if not probing:  # while none probes: the tasks rebuilding
+            in_bytes_s = self._input_bytes_s(st, st.stage.tasks)
+            out_bytes_s = self._shuffle_bytes_s(st, st.stage.tasks)
+        st.output_capacity = min(in_bytes_s * st.cost.selectivity, out_bytes_s)
+        st.rates_until = min((a for a in st.active_from.values() if a > self.t), default=_INF)
         return st.rates
 
     def _topology_changed(self) -> None:
@@ -317,73 +351,6 @@ class SimExecutor:
         with it the CPU share of every stage on the nodes involved."""
         for st in self.states.values():
             st.rates = None
-
-    def _step_stage(self, st: _StageState) -> None:
-        # The hot loop: buffer fields are read and written here directly,
-        # with min/max spelled as comparisons in the same order, so every
-        # float matches the buffer's own arithmetic. take() alone keeps the
-        # starvation rule.
-        t = self.t
-        # ---- join build phase: ingest the build side ----------------------
-        if not st.built:  # only a join starts unbuilt
-            build_buf = st.build_buf
-            n_tasks = len(st.stage.tasks) or 1
-            got = build_buf.take(n_tasks * cal.mb_s(cal.BUILD_RATE_MB_S) * self.dt)
-            st.build_received += got
-            if build_buf.ended and build_buf.level <= _EPS:
-                st.built = True
-                st.build_done_at = t
-        # ---- main (probe) flow -------------------------------------------
-        rates = st.rates
-        if rates is None or t >= st.rates_until:
-            rates = self._fill_rates(st)
-        in_cap, out_cap = rates
-        sel = st.cost.selectivity
-        limit = in_cap if st.built else 0.0
-        out_buf = st.out_buf
-        shuffle_bound = False
-        if sel > 0:
-            if out_buf is not None:  # backpressure: the parent's free space
-                free = out_buf.capacity - out_buf.level
-                cap = (free if free > 0.0 else 0.0) / sel
-                if cap < limit:
-                    limit = cap
-            if out_cap < _INF:
-                cap = out_cap / sel
-                if cap < limit:
-                    shuffle_bound = True
-                    limit = cap
-        if st.is_scan:
-            remaining = st.scan_remaining
-            got = remaining if remaining < limit else limit
-            st.scan_remaining = remaining - got
-            input_done = st.scan_remaining <= _EPS
-        else:
-            in_buf = st.in_buf
-            got = in_buf.take(limit)
-            input_done = in_buf.ended and in_buf.level <= _EPS
-        if shuffle_bound and got > 0:
-            st.shuffle_bound = True
-        st.consumed += got
-        out = got * sel
-        st.produced += out
-        if out_buf is not None:
-            out_buf.level += out
-        # ---- end detection ------------------------------------------------
-        if input_done and st.built:
-            st.ended = True
-            st.end_at = t
-            self._live = [s for s in self._live if s is not st]
-            # A switch still in flight when the probe finishes is moot —
-            # the filter should have rejected it (§5.2); drop it.
-            st.pending_switch = None
-            # Propagate end pages upward: the parent's buffer ends once
-            # every stage feeding it has ended.
-            if out_buf is not None and all(self.states[s].ended for s in st.out_feeders):
-                out_buf.ended = True
-                # no producer is left to read its capacity, and take()
-                # reads none once ended: it needs no more resizes
-                self._buffers = [b for b in self._buffers if b is not out_buf]
 
     def _process_pending(self) -> None:
         for st in self.states.values():
@@ -396,22 +363,105 @@ class SimExecutor:
                 self._topology_changed()
                 self.state_transfers.append(op)
                 st.pending_switch = None
-        self._switching = any(st.pending_switch is not None for st in self.states.values())
+        self._switch_due = min(
+            (st.pending_switch.done_at for st in self.states.values()
+             if st.pending_switch is not None),
+            default=_INF,
+        )
 
     # ------------------------------------------------------------------ step
     def step(self) -> None:
+        """One tick of ``dt``: every live stage, children before parents,
+        then the 500 ms buffer resize and the 1 s progress sample."""
         if self.done:
             return
         t = self.t = self.t + self.dt
-        if self._switching:
+        if t >= self._switch_due:
             self._process_pending()
-        step_stage = self._step_stage
+        # The hot loop, in one frame: buffer fields are read and written
+        # here directly, with min/max spelled as comparisons in the same
+        # order, so every float matches the buffer's own arithmetic. Only a
+        # buffer holding more than _EPS is taken from inline: a starving or
+        # drained one goes through take(), which alone states the
+        # starvation rule.
+        dt = self.dt
+        build_rate = self._build_rate
         for st in self._live:  # a stage that ends rebinds _live, not this list
-            step_stage(st)
+            # ---- join build phase: ingest the build side ------------------
+            if not st.built:  # only a join starts unbuilt
+                buf = st.build_buf
+                want = (len(st.stage.tasks) or 1) * build_rate * dt
+                level = buf.level
+                if level > _EPS:
+                    got = want if want < level else level
+                    buf.level = level - got
+                    buf.consumed_since_resize += got
+                else:
+                    got = buf.take(want)
+                st.build_received += got
+                if buf.ended and buf.level <= _EPS:
+                    st.built = True
+                    st.build_done_at = t
+            # ---- main (probe) flow ---------------------------------------
+            rates = st.rates
+            if rates is None or t >= st.rates_until:
+                rates = self._fill_rates(st)
+            in_cap, out_cap = rates
+            sel = st.cost.selectivity
+            limit = in_cap if st.built else 0.0
+            out_buf = st.out_buf
+            shuffle_bound = False
+            if sel > 0:
+                if out_buf is not None:  # backpressure: the parent's free space
+                    free = out_buf.capacity - out_buf.level
+                    cap = (free if free > 0.0 else 0.0) / sel
+                    if cap < limit:
+                        limit = cap
+                if out_cap < _INF:
+                    cap = out_cap / sel
+                    if cap < limit:
+                        shuffle_bound = True
+                        limit = cap
+            if st.is_scan:
+                remaining = st.scan_remaining
+                got = remaining if remaining < limit else limit
+                st.scan_remaining = remaining - got
+                input_done = st.scan_remaining <= _EPS
+            else:
+                buf = st.in_buf
+                level = buf.level
+                if level > _EPS:
+                    got = limit if limit < level else level
+                    buf.level = level - got
+                    buf.consumed_since_resize += got
+                else:
+                    got = buf.take(limit)
+                input_done = buf.ended and buf.level <= _EPS
+            if shuffle_bound and got > 0:
+                st.shuffle_bound = True
+            st.consumed += got
+            out = got * sel
+            st.produced += out
+            if out_buf is not None:
+                out_buf.level += out
+            # ---- end detection -------------------------------------------
+            if input_done and st.built:
+                st.ended = True
+                st.end_at = t
+                self._live = [s for s in self._live if s is not st]
+                # A switch still in flight when the probe finishes is moot —
+                # the filter should have rejected it (§5.2); drop it.
+                st.pending_switch = None
+                # Propagate end pages upward: the parent's buffer ends once
+                # every stage feeding it has ended.
+                if out_buf is not None and all(self.states[s].ended for s in st.out_feeders):
+                    out_buf.ended = True
+                    # no producer is left to read its capacity, and take()
+                    # reads none once ended: it needs no more resizes
+                    self._buffers = [b for b in self._buffers if b is not out_buf]
         if t - self._last_resize >= cal.BUFFER_RESIZE_INTERVAL_S:
             self._last_resize = t
-            for buf in self._buffers:
-                buf.resize()
+            ByteElasticBuffer.resize_all(self._buffers)
         if t - self._last_sample >= self._sample_every:
             for st in self.states.values():
                 st.cum_consumed_samples.append((t, st.consumed))
@@ -494,7 +544,7 @@ class SimExecutor:
             st.active_from[t.task_id] = op.done_at
         if st.partitioned:
             st.pending_switch = op
-            self._switching = True
+            self._switch_due = min(self._switch_due, op.done_at)
         return TuningOutcome(True, latency_s=latency, rebuild=op)
 
     # ------------------------------------------------------- runtime queries
@@ -525,6 +575,6 @@ class SimExecutor:
                 switching=st.pending_switch is not None,
                 output_capacity_bytes_s=st.output_capacity,
                 end_at=st.end_at,
-                samples=tuple(st.cum_consumed_samples),
+                samples=_SampleView(st.cum_consumed_samples),
             )
         return info

@@ -1,8 +1,10 @@
 """Initial scheduling and the dynamic scheduler (§2, §4.3–§4.4).
 
 ``schedule_query`` traverses the stage tree bottom-up, creates tasks for
-each stage, and establishes communication links (remote splits up, buffer
-ids down) — Presto's behaviour, with DOPs fixed before execution.
+each stage, and registers each task's buffer id in every child stage's
+output buffer — Presto's behaviour, with DOPs fixed before execution. The
+buffer-id table is the simulator's model of §4.3's remote split sets: with
+all-to-all exchange, a task's upstream set is its children's live tasks.
 
 ``DynamicScheduler`` is Accordion's addition: it breaks that early binding
 by spawning/terminating tasks (intra-stage DOP, §4.4) and drivers
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 from repro.cluster import Cluster, Node, RpcModel
 from repro.engine.buffers import OutputBuffer
 from repro.engine.plan import StageTree
-from repro.engine.splits import RemoteSplit
 from repro.engine.stage import Stage
 from repro.engine.task import Task
 
@@ -48,10 +49,6 @@ class QueryExecution:
         self.control_time_s += cost
         return cost
 
-    def parent_stage(self, stage_id: int) -> Stage | None:
-        pid = self.tree.parent_of(stage_id)
-        return self.stages[pid] if pid is not None else None
-
     def child_stages(self, stage_id: int) -> list[Stage]:
         return [self.stages[c] for c in self.tree.children_of(stage_id)]
 
@@ -68,15 +65,10 @@ class QueryExecution:
     def retire_task(self, task: Task) -> None:
         """Take a task out of the topology (§4.4 decreasing stage DOP, §4.5
         retiring an old task group): drop its buffer id from the children's
-        output buffers and its address from the parents' remote split sets,
-        release its node drivers, and remove it from its stage. The RPC cost
-        is the caller's to charge."""
+        output buffers, release its node drivers, and remove it from its
+        stage. The RPC cost is the caller's to charge."""
         for cstage in self.child_stages(task.stage_id):
             self.out_buffers[cstage.stage_id].remove_id(task.seq)
-        parent = self.parent_stage(task.stage_id)
-        if parent is not None:
-            for ptask in parent.tasks:
-                ptask.drop_upstream_task(task.task_id)
         self.cluster.node(task.node_id).remove_drivers(task.dop)
         self.stages[task.stage_id].remove_task(task)
 
@@ -92,22 +84,10 @@ def _needs_shuffle_buffer(exe: QueryExecution, stage_id: int) -> bool:
     return pfrag.partitioned or pfrag.is_shuffle
 
 
-def _wire_parent(exe: QueryExecution, child: Stage, task: Task) -> None:
-    """Give the new task's address to every parent-stage task (§4.4 step 2)."""
-    parent = exe.parent_stage(child.stage_id)
-    if parent is None:
-        return
-    for ptask in parent.tasks:
-        ptask.add_upstream(RemoteSplit(task.url, task.task_id))
-
-
-def _wire_children(exe: QueryExecution, stage: Stage, task: Task, *, new_group: bool = False) -> None:
-    """Set child-stage task addresses on the new task (§4.4 step 3) and
-    allocate it a buffer id in every child's output buffer, opening a new
-    task group there if ``new_group``."""
+def _add_buffer_ids(exe: QueryExecution, stage: Stage, task: Task, *, new_group: bool = False) -> None:
+    """Allocate the new task a buffer id in every child's output buffer,
+    opening a new task group there if ``new_group``."""
     for cstage in exe.child_stages(stage.stage_id):
-        for ctask in cstage.tasks:
-            task.add_upstream(RemoteSplit(ctask.url, ctask.task_id))
         exe.out_buffers[cstage.stage_id].add_id(task.seq, new_group=new_group)
 
 
@@ -143,7 +123,7 @@ def schedule_query(
             task = stage.new_task(node.node_id)
             task.set_dop(task_dop)
             node.add_drivers(task.dop)
-            _wire_children(exe, stage, task)
+            _add_buffer_ids(exe, stage, task)
         # per task: create, pipeline setup, split assignment, up/down
         # address wiring, buffer registration, status, ack (8 round trips);
         # plus 2 stage-level status calls. Calibrated so a 6-stage DOP-1
@@ -195,9 +175,10 @@ class DynamicScheduler:
 
     # ------------------------------------------------------ intra-stage (§4.4)
     def add_tasks(self, stage_id: int, n: int) -> tuple[list[Task], float]:
-        """§4.4 Increasing stage DOP: (1) generate new tasks, (2) hand their
-        addresses to parent-stage tasks, (3) set child-stage addresses on
-        them. Returns (new tasks, control latency)."""
+        """§4.4 Increasing stage DOP: generate new tasks and give each a
+        buffer id in every child stage's output buffer; the parent stage
+        reads them through this stage's output buffer. Returns (new tasks,
+        control latency)."""
         stage = self.exe.stages[stage_id]
         if n < 1:
             raise ValueError(f"must add at least one task, got {n}")
@@ -212,8 +193,7 @@ class DynamicScheduler:
             task = stage.new_task(node.node_id)
             task.set_dop(task_dop)
             node.add_drivers(task.dop)
-            _wire_parent(self.exe, stage, task)
-            _wire_children(self.exe, stage, task, new_group=switch and i == 0)
+            _add_buffer_ids(self.exe, stage, task, new_group=switch and i == 0)
             new_tasks.append(task)
         # One batched creation request plus a per-task ack: the paper
         # measures ~23 ms average for a stage-DOP adjustment (§6.4.1) —
@@ -224,7 +204,7 @@ class DynamicScheduler:
     def remove_tasks(self, stage_id: int, n: int) -> tuple[list[Task], float]:
         """§4.4 Decreasing stage DOP: end signals to the child stages'
         output buffers for the victims' buffer ids; end pages flow through
-        the victims to the parents, which drop their RPC addresses."""
+        the victims to the parents."""
         stage = self.exe.stages[stage_id]
         if not 1 <= n < stage.dop:
             raise ValueError(

@@ -5,10 +5,10 @@ Presto/Accordion use two split types:
 * a **system split** tells a table-scan task where to fetch a data chunk
   from (here: a slice of a real pandas table, or a byte range in the
   timing simulator);
-* a **remote split** (node URL + task id) wires an intermediate-stage task
-  to an upstream task for data exchange. Tasks keep a *global remote split
-  set* so newly spawned drivers can be wired without coordinator
-  involvement (§4.3).
+* a **remote split** wires an intermediate-stage task to an upstream task
+  for data exchange (§4.3's *global remote split set*). The simulator
+  models it through the output buffers' buffer-id table
+  (``engine.buffers``), not as a type here.
 
 ``SplitSource`` partitions a table into splits following the paper's
 Table 1 scheme (N nodes x M splits per node).
@@ -36,14 +36,6 @@ class SystemSplit:
     @property
     def rows(self) -> int:
         return self.stop - self.start
-
-
-@dataclass(frozen=True)
-class RemoteSplit:
-    """Address of an upstream task: worker URL + task id (§4.4 step 2/3)."""
-
-    node_url: str
-    task_id: str
 
 
 @dataclass
@@ -90,23 +82,3 @@ class SplitSource:
     def nodes(self) -> list[str]:
         return sorted({s.node_id for s in self.splits})
 
-
-@dataclass
-class RemoteSplitSet:
-    """A task's global remote split set (§4.3).
-
-    When a new exchange driver is created inside a task, the splits here
-    are assigned to its exchange operator directly, bypassing the
-    coordinator — this is what makes intra-task DOP increase O(ms).
-    """
-
-    splits: set[RemoteSplit] = field(default_factory=set)
-
-    def add(self, split: RemoteSplit) -> None:
-        self.splits.add(split)
-
-    def remove_task(self, task_id: str) -> None:
-        self.splits = {s for s in self.splits if s.task_id != task_id}
-
-    def addresses(self) -> list[RemoteSplit]:
-        return sorted(self.splits, key=lambda s: (s.node_url, s.task_id))

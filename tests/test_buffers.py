@@ -1,5 +1,8 @@
 """Tests for task output buffers — buffer-ID groups and task groups
 (§4.2.1) — and the runtime elastic buffer (§4.2.2)."""
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.core import RuntimeInfoCollector
@@ -95,13 +98,13 @@ class TestRuntimeElasticBuffer:
         # an oversized buffer too
         b = ByteElasticBuffer(capacity=100 * PAGE, level=10 * PAGE)
         b.take(10 * PAGE)
-        b.resize()
+        ByteElasticBuffer.resize_all([b])
         assert b.capacity == pytest.approx(12 * PAGE)
 
     def test_resize_has_floor_of_one(self):
         # an idle interval shrinks the buffer back to one page, never below
         b = ByteElasticBuffer(capacity=5 * PAGE)
-        b.resize()
+        ByteElasticBuffer.resize_all([b])
         assert b.capacity == PAGE
 
     def test_resize_waits_for_interval(self):
@@ -117,6 +120,33 @@ class TestRuntimeElasticBuffer:
             caps.append(buf.capacity / PAGE)
         assert caps == [2, 3, 4, 5, 1]
         assert buf.turn_up_counter == 5
+
+    def test_starvation_rule_through_step(self):
+        # S1 ships nothing (selectivity 0), so S0's input stays empty and
+        # un-ended while S1 scans: each tick adds exactly one to the
+        # turn-up counter and one page to the capacity, until the 500 ms
+        # resize (which follows the tick's take) sets it back to one page.
+        # On the tick S1 ends, the buffer is ended and empty: neither.
+        ex = linear_sim(final_rate=400.0, scan_rate=400.0, sel=0.0)
+        buf = ex.states[0].in_buf
+        ticks = resizes = 0
+        while True:
+            counter, cap = buf.turn_up_counter, buf.capacity
+            ex.step()
+            ticks += 1
+            if buf.ended:
+                break
+            assert buf.level == 0.0
+            assert buf.turn_up_counter == counter + 1
+            if ex._last_resize == ex.t:
+                resizes += 1
+                assert buf.capacity == PAGE
+            else:
+                assert buf.capacity == cap + PAGE
+        assert buf.level == 0.0
+        assert (buf.turn_up_counter, buf.capacity) == (counter, cap)
+        assert ex.done and ticks > 20 and resizes >= 4
+        assert buf.turn_up_counter == ticks - 1
 
 
 class TestSharedBuffer:
@@ -198,3 +228,67 @@ class TestShuffleBuffer:
         out = ex.set_stage_dop(1, 2)
         assert out.applied and out.rebuild.partitioned
         assert out.rebuild.build_bytes == build_bytes
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def turn_up_writers(source: str) -> list[tuple[int, str]]:
+    """(line, function) for each write of a ``turn_up_counter`` attribute
+    in ``source``: a store, a delete, or a ``setattr`` with that name. The
+    function is the enclosing ``Class.method`` (``<module>`` outside any
+    function)."""
+    found = []
+
+    def visit(node, scope: list[str], in_fn: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name], True)
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], in_fn)
+                continue
+            where = ".".join(scope) if in_fn else "<module>"
+            if (isinstance(child, ast.Attribute) and child.attr == "turn_up_counter"
+                    and isinstance(child.ctx, (ast.Store, ast.Del))):
+                found.append((child.lineno, where))
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id == "setattr"
+                  and any(isinstance(a, ast.Constant) and a.value == "turn_up_counter"
+                          for a in child.args)):
+                found.append((child.lineno, where))
+            visit(child, scope, in_fn)
+
+    visit(ast.parse(source), [], False)
+    return sorted(found)
+
+
+class TestStarvationRuleGuard:
+    """The starvation rule has one home: no function under ``src/`` but
+    ``ByteElasticBuffer.take`` writes a turn-up counter, so the tick cannot
+    fork it."""
+
+    @pytest.mark.parametrize("path", sorted(str(p.relative_to(SRC)) for p in SRC.rglob("*.py")))
+    def test_only_take_writes_the_turn_up_counter(self, path):
+        writers = turn_up_writers((SRC / path).read_text())
+        assert [w for w in writers if w[1] != "ByteElasticBuffer.take"] == []
+
+    def test_take_is_the_writer(self):
+        writers = turn_up_writers((SRC / "repro" / "engine" / "exec_sim.py").read_text())
+        assert {name for _, name in writers} == {"ByteElasticBuffer.take"}
+
+    def test_detector_flags_each_form(self):
+        src = (
+            "class B:\n"
+            "    turn_up_counter: int = 0\n"
+            "    def take(self):\n        self.turn_up_counter += 1\n"
+            "class Ex:\n"
+            "    def step(self, buf):\n        buf.turn_up_counter = buf.turn_up_counter + 1\n"
+            "    def reset(self, buf):\n        setattr(buf, 'turn_up_counter', 0)\n"
+            "def drop(buf):\n    del buf.turn_up_counter\n"
+            "def read(buf):\n    return Info(turn_up_counter=buf.turn_up_counter)\n"
+            "b = B()\nb.turn_up_counter = 2\n"
+        )
+        assert turn_up_writers(src) == [
+            (4, "B.take"), (7, "Ex.step"), (9, "Ex.reset"), (11, "drop"), (15, "<module>"),
+        ]

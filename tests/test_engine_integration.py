@@ -1,5 +1,6 @@
 """Object-level integration: the topology a worker keeps — output-buffer
-IDs and task groups, remote split sets, driver counts — wired together by
+IDs and task groups (the simulator's model of §4.3's remote split sets),
+driver counts — wired together by
 the scheduler the way the coordinator drives it, and the executor moving
 bytes over it: scan -> output buffer -> downstream task, the end signal,
 drivers as the unit of processing.
@@ -101,29 +102,32 @@ class TestEndPageProtocol:
         assert ex.states[5].ended
 
     def test_remove_task_end_to_end(self, q2j_exe):
-        """§4.4 decreasing stage DOP: end signals to child buffers, parents
-        drop the victim's address, buffer ids retired."""
+        """§4.4 decreasing stage DOP: end signals to child buffers, the
+        victim leaves the stage the parent reads, buffer ids retired."""
         sched = DynamicScheduler(q2j_exe)
         sched.add_tasks(1, 1)  # S1: 2 -> 3 tasks
         victims, _ = sched.remove_tasks(1, 1)
         victim_seq = victims[0].seq
+        live = [t.seq for t in q2j_exe.stages[1].tasks]
+        assert victim_seq not in live
         for cid in (2, 3):
             assert victim_seq not in q2j_exe.out_buffers[cid].buffer_ids
-        for ptask in q2j_exe.stages[0].tasks:
-            assert victims[0].task_id not in {
-                s.task_id for s in ptask.upstream_addresses()
-            }
+            assert sorted(q2j_exe.out_buffers[cid].buffer_ids) == sorted(live)
 
 
 class TestIntraTaskDopObjectLevel:
     def test_new_driver_uses_global_remote_split_set(self, q3_exe):
-        # §4.3: new drivers are wired from the task's split set without
-        # the coordinator
+        # §4.3: new drivers read through the task's existing buffer ids
+        # without the coordinator: no buffer id or task is added
         task = q3_exe.stages[1].tasks[0]
-        addrs_before = task.upstream_addresses()
+        ids_before = {cid: list(b.groups) for cid, b in q3_exe.out_buffers.items()}
+        tasks_before = {sid: list(st.tasks) for sid, st in q3_exe.stages.items()}
         task.set_dop(3)
         assert task.dop == 3
-        assert task.upstream_addresses() == addrs_before
+        assert {cid: b.groups for cid, b in q3_exe.out_buffers.items()} == ids_before
+        assert {sid: st.tasks for sid, st in q3_exe.stages.items()} == tasks_before
+        for cid in (2, 3):
+            assert task.seq in q3_exe.out_buffers[cid].buffer_ids
 
     def test_drivers_process_independently(self, q3_sim):
         # each driver adds its own processing rate; closing one leaves the

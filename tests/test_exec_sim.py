@@ -417,7 +417,7 @@ class TestByteElasticBuffer:
     def test_resize_tracks_consumption(self):
         b = ByteElasticBuffer(level=50 * MB)
         b.take(50 * MB)
-        b.resize()
+        ByteElasticBuffer.resize_all([b])
         assert b.capacity == pytest.approx(60 * MB)
 
 
@@ -461,7 +461,8 @@ def _assert_topology_consistent(ex):
 class TestTopology:
     def test_partitioned_switch_retires_old_group(self):
         # §4.5: after a 2 -> 4 switch the children's buffers serve exactly
-        # the new task group, and the parents forget the retired tasks
+        # the new task group, and the retired tasks leave the stage the
+        # parent reads
         ex = SimExecutor(QUERIES["Q2J"].sim_query(), stage_dop=2)
         while ex.t < 120.0:
             ex.step()
@@ -475,8 +476,8 @@ class TestTopology:
             assert ex.exe.out_buffers[cid].buffer_ids == new_seqs
             assert ex.exe.out_buffers[cid].groups == [new_seqs]
         retired = {"task1_0", "task1_1"}
-        for ptask in ex.exe.stages[0].tasks:
-            assert retired.isdisjoint(s.task_id for s in ptask.upstream_addresses())
+        assert retired.isdisjoint(t.task_id for t in ex.exe.stages[1].tasks)
+        assert ex.exe.out_buffers[1].buffer_ids == [t.seq for t in ex.exe.stages[0].tasks]
 
     def test_pinned_scan_stage_grows_on_its_nodes(self):
         # QSHUF stores orders (S2) on storage0/storage1 (§6.4.2): the tasks

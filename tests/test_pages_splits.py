@@ -1,7 +1,13 @@
-"""Tests for splits (repro.engine.splits)."""
+"""Tests for splits (repro.engine.splits) and the buffer-id table that
+models remote splits."""
 import pandas as pd
+import pytest
 
-from repro.engine.splits import RemoteSplit, RemoteSplitSet, SplitSource, SystemSplit
+from repro.cluster import Cluster
+from repro.engine.plan import fragment_plan
+from repro.engine.scheduler import DynamicScheduler, schedule_query
+from repro.engine.splits import SplitSource, SystemSplit
+from repro.queries.tpch import q3_plan
 
 
 class TestSplitSource:
@@ -44,22 +50,31 @@ class TestSplitSource:
 
 
 class TestRemoteSplitSet:
+    """§4.3's remote split set, as the simulator keeps it: a task reads
+    from every live task of its child stages through its buffer id in their
+    output buffers."""
+
+    def _exe(self):
+        return schedule_query(fragment_plan(q3_plan()), Cluster.presto_testbed(), stage_dop=2)
+
     def test_add_and_addresses_sorted(self):
-        rs = RemoteSplitSet()
-        rs.add(RemoteSplit("http://b/t2", "t2"))
-        rs.add(RemoteSplit("http://a/t1", "t1"))
-        assert [s.task_id for s in rs.addresses()] == ["t1", "t2"]
+        exe = self._exe()
+        DynamicScheduler(exe).add_tasks(1, 1)
+        seqs = [t.seq for t in exe.stages[1].tasks]
+        assert seqs == [0, 1, 2]
+        for cid in (2, 3):
+            assert exe.out_buffers[cid].buffer_ids == seqs
 
     def test_add_idempotent(self):
-        rs = RemoteSplitSet()
-        rs.add(RemoteSplit("http://a/t1", "t1"))
-        rs.add(RemoteSplit("http://a/t1", "t1"))
-        assert len(rs.addresses()) == 1
+        exe = self._exe()
+        with pytest.raises(ValueError):
+            exe.out_buffers[2].add_id(exe.stages[1].tasks[0].seq)
+        assert exe.out_buffers[2].buffer_ids == [0, 1]
 
     def test_remove_task(self):
-        # §4.4: parents delete a closed task's RPC address
-        rs = RemoteSplitSet()
-        rs.add(RemoteSplit("http://a/t1", "t1"))
-        rs.add(RemoteSplit("http://b/t2", "t2"))
-        rs.remove_task("t1")
-        assert [s.task_id for s in rs.addresses()] == ["t2"]
+        # §4.4: a retired task's buffer ids leave its children's buffers
+        exe = self._exe()
+        exe.retire_task(exe.stages[1].tasks[0])
+        for cid in (2, 3):
+            assert exe.out_buffers[cid].buffer_ids == [1]
+        assert [t.task_id for t in exe.stages[1].tasks] == ["task1_1"]

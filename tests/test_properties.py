@@ -84,7 +84,7 @@ class TestElasticBufferProperties:
             elif op == "take":
                 b.take(DEFAULT_PAGE_BYTES / 2)
             elif op == "tick":  # the executor's 500 ms clock
-                b.resize()
+                ByteElasticBuffer.resize_all([b])
             else:
                 b.ended = True
             if b.level > before:

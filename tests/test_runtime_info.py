@@ -1,12 +1,14 @@
 """Tests for the query-stage-task runtime info tree (§5.1, Fig. 18)."""
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import repro.core
 import repro.experiments
-from repro.core import RuntimeInfoCollector
+from repro.core import RuntimeInfoCollector, consumed_between, rate_at
+from repro.core.runtime_info import _recent_rate
 from repro.engine.exec_sim import SimExecutor
 from tests.test_exec_sim import join_query, linear_query
 
@@ -29,13 +31,6 @@ class TestCollector:
         info = RuntimeInfoCollector(ex).collect()
         assert {s.stage_id for s in info.stages.values() if ex.tree[s.stage_id].is_scan} == {2, 3}
 
-    def test_progress_fraction(self):
-        ex = SimExecutor(linear_query(scan_bytes=1 * GB))
-        for _ in range(50):  # 5 s at 100 MB/s
-            ex.step()
-        info = RuntimeInfoCollector(ex).collect()
-        assert info[1].progress == pytest.approx(0.5, abs=0.05)
-
     def test_finished_flags_after_run(self):
         ex = SimExecutor(linear_query())
         ex.run()
@@ -56,6 +51,43 @@ class TestCollector:
         later = c.collect()
         assert later.t > info.t and len(later[1].samples) > len(info[1].samples)
         assert later[1].end_at is not None
+
+    def test_samples_unchanged_by_later_ticks(self):
+        # a snapshot's progress series is a view of the first n samples:
+        # 50 more ticks append to the executor's series, not to the view
+        ex = SimExecutor(join_query(partitioned=False))
+        for _ in range(60):
+            ex.step()
+        info = RuntimeInfoCollector(ex).collect()
+        before = {sid: (len(s.samples), tuple(s.samples)) for sid, s in info.stages.items()}
+        n = len(ex.states[1].cum_consumed_samples)
+        assert n >= 5 and all(k == n for k, _ in before.values())
+        for _ in range(50):
+            ex.step()
+        assert len(ex.states[1].cum_consumed_samples) >= n + 4
+        assert {sid: (len(s.samples), tuple(s.samples))
+                for sid, s in info.stages.items()} == before
+        assert info[1].samples[-1] == before[1][1][-1]
+        with pytest.raises(IndexError):
+            info[1].samples[n]
+
+    def test_rates_on_view_match_a_copy(self):
+        ex = SimExecutor(join_query(partitioned=False))
+        for _ in range(300):
+            ex.step()
+        info = RuntimeInfoCollector(ex).collect()
+        for _ in range(50):
+            ex.step()
+        for s in info.stages.values():
+            copy = replace(s, samples=tuple(s.samples))
+            assert type(s.samples) is not tuple
+            for t in (0.0, 0.5, 1.0, 7.0, 12.3, 29.9, 30.0, 35.0):
+                assert rate_at(s, t) == rate_at(copy, t)
+                assert consumed_between(s, 2.0, t) == consumed_between(copy, 2.0, t)
+            assert _recent_rate(s.samples, s.consumed_bytes, info.t) == _recent_rate(
+                copy.samples, s.consumed_bytes, info.t)
+            assert s.recent_rate_bytes_s == copy.recent_rate_bytes_s
+            assert s.recent_rate_bytes_s == _recent_rate(copy.samples, s.consumed_bytes, info.t)
 
     def test_build_bytes_exposed(self):
         ex = SimExecutor(join_query(build_bytes=0.5 * GB, partitioned=True))

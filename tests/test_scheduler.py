@@ -51,11 +51,14 @@ class TestScheduleQuery:
         assert [t.node_id for t in exe.stages[2].tasks] == ["storage0", "storage1"]
 
     def test_bottom_up_wiring(self):
-        # parent tasks hold the addresses of all child-stage tasks
+        # every parent task holds a buffer id in each child stage's output
+        # buffer, so it reads from all of that stage's tasks
         exe = _q3_exe(stage_dop=2)
-        s1_task = exe.stages[1].tasks[0]
-        upstream_ids = {s.task_id for s in s1_task.upstream_addresses()}
-        assert {"task2_0", "task2_1", "task3_0", "task3_1"} <= upstream_ids
+        s1_seqs = [t.seq for t in exe.stages[1].tasks]
+        assert s1_seqs == [0, 1]
+        for cid in (2, 3):
+            assert exe.out_buffers[cid].buffer_ids == s1_seqs
+            assert [t.task_id for t in exe.stages[cid].tasks] == [f"task{cid}_0", f"task{cid}_1"]
 
     def test_partitioned_join_children_get_shuffle_buffers(self):
         exe = _q2j_exe()
@@ -102,18 +105,18 @@ class TestDynamicScheduler:
             DynamicScheduler(exe).set_task_dop(0, 2)
 
     def test_add_tasks_three_steps(self):
-        # §4.4: new task gets child addresses; parents get its address
+        # §4.4: the new task joins its stage, which the parent reads through
+        # the stage's output buffer, and holds a buffer id in every child
+        # stage's output buffer
         exe = _q3_exe()
         sched = DynamicScheduler(exe)
         new, cost = sched.add_tasks(3, 1)
         task = new[0]
-        assert exe.stages[3].dop == 2
-        child_ids = {s.task_id for s in task.upstream_addresses()}
-        assert {"task4_0", "task5_0"} <= child_ids
-        parent_ids = {
-            s.task_id for t in exe.stages[1].tasks for s in t.upstream_addresses()
-        }
-        assert task.task_id in parent_ids
+        assert exe.stages[3].dop == 2 and task in exe.stages[3].tasks
+        for cid in (4, 5):
+            assert task.seq in exe.out_buffers[cid].buffer_ids
+            assert exe.out_buffers[cid].buffer_ids == [t.seq for t in exe.stages[3].tasks]
+        assert exe.out_buffers[3].buffer_ids == [t.seq for t in exe.stages[1].tasks]
         assert cost > 0
 
     def test_add_tasks_final_stage_rejected(self):
@@ -129,14 +132,16 @@ class TestDynamicScheduler:
         assert len(exe.out_buffers[2].buffer_ids) == before + 2
 
     def test_remove_tasks_drops_addresses(self):
-        # §4.4: end signal path — parents delete the victim's RPC address
+        # §4.4: end signal path — the victim leaves its stage, which the
+        # parents read, and its buffer ids leave the children's buffers
         exe = _q3_exe(stage_dop=3)
         sched = DynamicScheduler(exe)
         victims, _ = sched.remove_tasks(3, 1)
         assert exe.stages[3].dop == 2
-        vid = victims[0].task_id
-        for t in exe.stages[1].tasks:
-            assert vid not in {s.task_id for s in t.upstream_addresses()}
+        assert victims[0] not in exe.stages[3].tasks
+        for cid in (4, 5):
+            assert victims[0].seq not in exe.out_buffers[cid].buffer_ids
+            assert exe.out_buffers[cid].buffer_ids == [t.seq for t in exe.stages[3].tasks]
 
     def test_remove_tasks_releases_node_drivers(self):
         exe = _q3_exe(stage_dop=2, task_dop=2)

@@ -1,12 +1,14 @@
 """Tests for tasks and stages (repro.engine.task / stage)."""
 from dataclasses import replace
 
+from repro.cluster import Cluster
 from repro.core import RuntimeInfoCollector, consumed_between, rate_at
 from repro.engine import plan as P
 from repro.engine.exec_sim import SimExecutor
-from repro.engine.splits import RemoteSplit
+from repro.engine.scheduler import schedule_query
 from repro.engine.stage import Stage
 from repro.engine.task import Task
+from repro.queries.tpch import q3_plan
 from tests.test_exec_sim import linear_query
 
 
@@ -19,7 +21,7 @@ class TestTask:
         # §2: task ID = stage number + task sequence number (e.g. task3_2)
         t = Task(3, 2, "compute0")
         assert t.task_id == "task3_2"
-        assert "compute0" in t.url
+        assert t.node_id == "compute0"
 
     def test_set_dop_spawns_and_closes_drivers(self):
         t = Task(2, 0, "compute0")
@@ -28,12 +30,15 @@ class TestTask:
         assert t.set_dop(2) == 2
 
     def test_remote_split_wiring(self):
-        t = Task(1, 0, "compute0")
-        t.add_upstream(RemoteSplit("http://c1/task2_0", "task2_0"))
-        t.add_upstream(RemoteSplit("http://c2/task2_1", "task2_1"))
-        assert len(t.upstream_addresses()) == 2
-        t.drop_upstream_task("task2_0")
-        assert [s.task_id for s in t.upstream_addresses()] == ["task2_1"]
+        # a task's upstream tasks are the child stage's live tasks, which it
+        # reads through its buffer id in that stage's output buffer
+        exe = schedule_query(P.fragment_plan(q3_plan()), Cluster.presto_testbed(), stage_dop=2)
+        t = exe.stages[1].tasks[0]
+        assert [c.task_id for c in exe.stages[2].tasks] == ["task2_0", "task2_1"]
+        assert t.seq in exe.out_buffers[2].buffer_ids
+        exe.retire_task(exe.stages[2].tasks[0])
+        assert [c.task_id for c in exe.stages[2].tasks] == ["task2_1"]
+        assert t.seq in exe.out_buffers[2].buffer_ids
 
 
 class TestStage:
