@@ -31,11 +31,14 @@ DOP monitor) return the time of their next wake, and ``run`` calls none
 of them on the ticks in between.
 
 Data moves only as byte volumes here. The engine keeps the *topology*
-beside it: stages, tasks with their driver counts, and output-buffer ID
-groups, whose id table also stands for §4.3's remote split sets. The
-dynamic scheduler updates that topology on every DOP change, and a retired
-task group leaves it through the same ``QueryExecution.retire_task`` as
-any other removed task. The control plane (scheduler, tuner, filter) thus
+beside it: stages and their tasks with driver counts. With all-to-all
+exchange, a child's buffer-ID array (§4.2.1) is its parent's task list and
+a task's remote split set (§4.3) is its children's task lists; during a
+partitioned switch, the new task group is the ``RebuildOp``'s
+``new_task_ids`` and the old group is the rest. The dynamic scheduler
+updates that topology on every DOP change, and a retired task group
+leaves it through the same ``QueryExecution.retire_task`` as any other
+removed task. The control plane (scheduler, tuner, filter) thus
 acts on real engine structures, while the byte-flow arithmetic stays cheap
 enough to simulate thousands of seconds in milliseconds.
 """

@@ -1,24 +1,26 @@
 """Initial scheduling and the dynamic scheduler (§2, §4.3–§4.4).
 
-``schedule_query`` traverses the stage tree bottom-up, creates tasks for
-each stage, and registers each task's buffer id in every child stage's
-output buffer — Presto's behaviour, with DOPs fixed before execution. The
-buffer-id table is the simulator's model of §4.3's remote split sets: with
-all-to-all exchange, a task's upstream set is its children's live tasks.
+``schedule_query`` traverses the stage tree bottom-up and creates tasks for
+each stage — Presto's behaviour, with DOPs fixed before execution. A
+stage's task list is the simulator's only topology record: with
+all-to-all exchange, §4.2.1's buffer-ID array of a child's output buffer
+is its parent's live tasks, and §4.3's remote split set of a task is its
+children's live tasks, so neither is stored.
 
 ``DynamicScheduler`` is Accordion's addition: it breaks that early binding
 by spawning/terminating tasks (intra-stage DOP, §4.4) and drivers
-(intra-task DOP, §4.3) at runtime, confining topology changes to the
-upstream/downstream buffers (§4.2). Every control action is charged to the
-RPC model, which is where the paper's scheduling overheads (~tens of ms per
-adjustment, 313 ms initial plan) come from.
+(intra-task DOP, §4.3) at runtime. Every task enters through
+``QueryExecution.add_task``, leaves through ``retire_task``, and changes
+its driver count through ``set_drivers``, which alone keep the nodes'
+driver counts. Every control action is charged to the RPC model, which is
+where the paper's scheduling overheads (~tens of ms per adjustment, 313 ms
+initial plan) come from.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster import Cluster, Node, RpcModel
-from repro.engine.buffers import OutputBuffer
+from repro.cluster import Cluster, RpcModel
 from repro.engine.plan import StageTree
 from repro.engine.stage import Stage
 from repro.engine.task import Task
@@ -26,8 +28,8 @@ from repro.engine.task import Task
 
 @dataclass
 class QueryExecution:
-    """A scheduled query: stages, their output buffers, and control-plane
-    accounting."""
+    """A scheduled query: stages, their tasks' placement and driver
+    accounting, and control-plane accounting."""
 
     tree: StageTree
     cluster: Cluster
@@ -35,7 +37,6 @@ class QueryExecution:
     #: with their table's storage nodes).
     pinned_nodes: dict[int, list[str]] = field(default_factory=dict)
     stages: dict[int, Stage] = field(default_factory=dict)
-    out_buffers: dict[int, OutputBuffer] = field(default_factory=dict)
     rpc: RpcModel = field(default_factory=RpcModel)
     rpc_requests: int = 0
     control_time_s: float = 0.0
@@ -49,46 +50,39 @@ class QueryExecution:
         self.control_time_s += cost
         return cost
 
-    def child_stages(self, stage_id: int) -> list[Stage]:
-        return [self.stages[c] for c in self.tree.children_of(stage_id)]
-
-    def place_task(self, stage: Stage) -> Node:
-        """The node for the stage's next task. A stage pinned to nodes that
-        holds k tasks puts the next one on ``pinned[k % len(pinned)]``, at
-        scheduling time and at runtime alike; any other task goes
-        round-robin on compute nodes."""
+    def add_task(self, stage: Stage, dop: int) -> Task:
+        """Place a new task of ``dop`` drivers in the stage and occupy its
+        node's drivers. A stage pinned to nodes that holds k tasks puts the
+        next one on ``pinned[k % len(pinned)]``, at scheduling time and at
+        runtime alike; any other task goes round-robin on compute nodes.
+        The RPC cost is the caller's to charge."""
         pinned = self.pinned_nodes.get(stage.stage_id)
         if pinned:
-            return self.cluster.node(pinned[stage.dop % len(pinned)])
-        return self.cluster.place_task()
+            node = self.cluster.node(pinned[stage.dop % len(pinned)])
+        else:
+            node = self.cluster.place_task()
+        task = stage.new_task(node.node_id)
+        task.dop = dop
+        node.add_drivers(dop)
+        return task
+
+    def set_drivers(self, task: Task, n: int) -> None:
+        """Set a task's driver count (§4.3: spawn drivers, or close them
+        through the end-page relay), moving its node's driver count by the
+        difference."""
+        node = self.cluster.node(task.node_id)
+        if n > task.dop:
+            node.add_drivers(n - task.dop)
+        else:
+            node.remove_drivers(task.dop - n)
+        task.dop = n
 
     def retire_task(self, task: Task) -> None:
         """Take a task out of the topology (§4.4 decreasing stage DOP, §4.5
-        retiring an old task group): drop its buffer id from the children's
-        output buffers, release its node drivers, and remove it from its
-        stage. The RPC cost is the caller's to charge."""
-        for cstage in self.child_stages(task.stage_id):
-            self.out_buffers[cstage.stage_id].remove_id(task.seq)
+        retiring an old task group): release its node drivers and remove it
+        from its stage. The RPC cost is the caller's to charge."""
         self.cluster.node(task.node_id).remove_drivers(task.dop)
         self.stages[task.stage_id].remove_task(task)
-
-
-def _needs_shuffle_buffer(exe: QueryExecution, stage_id: int) -> bool:
-    """A stage needs a shuffle output buffer when its parent consumes it as
-    the input of a partitioned operation (partitioned join side or an
-    explicit shuffle stage)."""
-    parent_id = exe.tree.parent_of(stage_id)
-    if parent_id is None:
-        return False
-    pfrag = exe.tree[parent_id]
-    return pfrag.partitioned or pfrag.is_shuffle
-
-
-def _add_buffer_ids(exe: QueryExecution, stage: Stage, task: Task, *, new_group: bool = False) -> None:
-    """Allocate the new task a buffer id in every child's output buffer,
-    opening a new task group there if ``new_group``."""
-    for cstage in exe.child_stages(stage.stage_id):
-        exe.out_buffers[cstage.stage_id].add_id(task.seq, new_group=new_group)
 
 
 def schedule_query(
@@ -116,14 +110,9 @@ def schedule_query(
         frag = tree[sid]
         stage = Stage(stage_id=sid, fragment=frag)
         exe.stages[sid] = stage
-        exe.out_buffers[sid] = OutputBuffer(shuffle=_needs_shuffle_buffer(exe, sid))
         n_tasks = stage_dop.get(sid, 1) if isinstance(stage_dop, dict) else stage_dop
         for _ in range(n_tasks):
-            node = exe.place_task(stage)
-            task = stage.new_task(node.node_id)
-            task.set_dop(task_dop)
-            node.add_drivers(task.dop)
-            _add_buffer_ids(exe, stage, task)
+            exe.add_task(stage, task_dop)
         # per task: create, pipeline setup, split assignment, up/down
         # address wiring, buffer registration, status, ack (8 round trips);
         # plus 2 stage-level status calls. Calibrated so a 6-stage DOP-1
@@ -137,9 +126,7 @@ def schedule_query(
         while stage.dop > 1:
             exe.retire_task(stage.tasks[-1])
         for t in stage.tasks:
-            if t.dop > 1:
-                exe.cluster.node(t.node_id).remove_drivers(t.dop - 1)
-        stage.set_task_dop(1)
+            exe.set_drivers(t, 1)
 
     exe.charge_rpc(5)  # query-level coordinator round-trips
     exe.init_time_s = exe.control_time_s
@@ -164,20 +151,15 @@ class DynamicScheduler:
         if stage.fragment.pinned and n != 1:
             raise ValueError(f"stage {stage_id} holds a final agg; task DOP pinned to 1")
         for task in stage.tasks:
-            old = task.dop
-            task.set_dop(n)
-            node = self.exe.cluster.node(task.node_id)
-            if n > old:
-                node.add_drivers(n - old)
-            else:
-                node.remove_drivers(old - n)
+            self.exe.set_drivers(task, n)
         return self.exe.charge_rpc(len(stage.tasks))
 
     # ------------------------------------------------------ intra-stage (§4.4)
     def add_tasks(self, stage_id: int, n: int) -> tuple[list[Task], float]:
-        """§4.4 Increasing stage DOP: generate new tasks and give each a
-        buffer id in every child stage's output buffer; the parent stage
-        reads them through this stage's output buffer. Returns (new tasks,
+        """§4.4 Increasing stage DOP: generate new tasks, which read from
+        every live task of the child stages and which the parent stage reads
+        through this stage's output buffer. A partitioned join's new tasks
+        are the new task group of a §4.5 switch. Returns (new tasks,
         control latency)."""
         stage = self.exe.stages[stage_id]
         if n < 1:
@@ -185,16 +167,7 @@ class DynamicScheduler:
         if stage.fragment.pinned:
             raise ValueError(f"stage {stage_id} holds a final agg; stage DOP pinned to 1")
         task_dop = stage.task_dop or 1
-        # §4.5: a partitioned join grows by switching to a new task group.
-        switch = stage.fragment.partitioned
-        new_tasks: list[Task] = []
-        for i in range(n):
-            node = self.exe.place_task(stage)
-            task = stage.new_task(node.node_id)
-            task.set_dop(task_dop)
-            node.add_drivers(task.dop)
-            _add_buffer_ids(self.exe, stage, task, new_group=switch and i == 0)
-            new_tasks.append(task)
+        new_tasks = [self.exe.add_task(stage, task_dop) for _ in range(n)]
         # One batched creation request plus a per-task ack: the paper
         # measures ~23 ms average for a stage-DOP adjustment (§6.4.1) —
         # address wiring piggybacks on existing heartbeats.
@@ -203,8 +176,8 @@ class DynamicScheduler:
 
     def remove_tasks(self, stage_id: int, n: int) -> tuple[list[Task], float]:
         """§4.4 Decreasing stage DOP: end signals to the child stages'
-        output buffers for the victims' buffer ids; end pages flow through
-        the victims to the parents."""
+        output buffers for the victims; end pages flow through the victims
+        to the parents."""
         stage = self.exe.stages[stage_id]
         if not 1 <= n < stage.dop:
             raise ValueError(

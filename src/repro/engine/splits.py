@@ -6,9 +6,10 @@ Presto/Accordion use two split types:
   from (here: a slice of a real pandas table, or a byte range in the
   timing simulator);
 * a **remote split** wires an intermediate-stage task to an upstream task
-  for data exchange (§4.3's *global remote split set*). The simulator
-  models it through the output buffers' buffer-id table
-  (``engine.buffers``), not as a type here.
+  for data exchange (§4.3's *global remote split set*). With all-to-all
+  exchange, a task's remote split set is its child stages' live tasks, so
+  the simulator reads it from their ``Stage.tasks`` and keeps no type or
+  table for it.
 
 ``SplitSource`` partitions a table into splits following the paper's
 Table 1 scheme (N nodes x M splits per node).

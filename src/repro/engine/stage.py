@@ -1,7 +1,9 @@
 """Stages — fragments scheduled as task sets.
 
 A stage's DOP is its task count (§2); intra-task DOP is the per-task
-driver count.
+driver count. The stages' task lists are the simulator's whole topology:
+a parent reads every live task of its children, so the buffer-ID groups of
+§4.2.1 and the remote split sets of §4.3 are read from them, not stored.
 """
 from __future__ import annotations
 
@@ -38,7 +40,3 @@ class Stage:
 
     def remove_task(self, task: Task) -> None:
         self.tasks.remove(task)
-
-    def set_task_dop(self, n: int) -> None:
-        for t in self.tasks:
-            t.set_dop(n)

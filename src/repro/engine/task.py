@@ -1,8 +1,10 @@
 """Tasks — the smallest unit of distributed execution (§2).
 
 A task lives on a worker node and runs its fragment on a number of drivers
-(the intra-task DOP, §4.3). Its upstream tasks are its children's live
-tasks, read through the buffer ids it holds in their output buffers.
+(the intra-task DOP, §4.3). Its upstream tasks — §4.3's remote split set —
+are its child stages' live tasks, read from their task lists, not stored.
+A task's driver count changes only through ``QueryExecution``, which keeps
+the node's driver count in step.
 """
 from __future__ import annotations
 
@@ -23,9 +25,3 @@ class Task:
     def task_id(self) -> str:
         """Paper naming: stage number + task sequence number (task3_2)."""
         return f"task{self.stage_id}_{self.seq}"
-
-    def set_dop(self, n: int) -> int:
-        """Set the driver count (§4.3: spawn drivers, or close them through
-        the end-page relay); returns it."""
-        self.dop = n
-        return n

@@ -63,9 +63,10 @@ def measure_driver_generation_ms() -> float:
     """Wall time to spawn one driver in a task (intra-task DOP +1) — the
     paper reports < 1 ms for task/driver generation. Timed on a throwaway
     executor so the measured runs' state is untouched."""
-    task = SimExecutor(QUERIES["Q3"].sim_query()).exe.stages[1].tasks[0]
+    exe = SimExecutor(QUERIES["Q3"].sim_query()).exe
+    task = exe.stages[1].tasks[0]
     t0 = time.perf_counter()
-    task.set_dop(task.dop + 1)
+    exe.set_drivers(task, task.dop + 1)
     return (time.perf_counter() - t0) * 1e3
 
 

@@ -1,5 +1,5 @@
-"""Tests for task output buffers — buffer-ID groups and task groups
-(§4.2.1) — and the runtime elastic buffer (§4.2.2)."""
+"""Tests for the runtime elastic buffer (§4.2.2) and the cached build side
+a rebuild reads (§4.2.1)."""
 import ast
 from pathlib import Path
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import RuntimeInfoCollector
 from repro.engine import plan as P
-from repro.engine.buffers import OutputBuffer
 from repro.engine.exec_sim import (
     DEFAULT_PAGE_BYTES as PAGE,
     ByteElasticBuffer,
@@ -149,84 +148,17 @@ class TestRuntimeElasticBuffer:
         assert buf.turn_up_counter == ticks - 1
 
 
-class TestSharedBuffer:
-    def test_unknown_buffer_id(self):
-        b = OutputBuffer()
-        b.add_id(0)
-        with pytest.raises(KeyError):
-            b.remove_id(7)
-
-    def test_buffer_id_array_is_dynamic(self):
-        # §4.2.1: the buffer ID array adapts to downstream DOP changes
-        b = OutputBuffer()
-        b.add_id(0)
-        b.add_id(1)
-        assert b.buffer_ids == [0, 1]
-        assert b.groups == [[0, 1]]  # a shared buffer is a single group
-        b.remove_id(0)
-        assert b.buffer_ids == [1]
-
-    def test_duplicate_buffer_id_rejected(self):
-        b = OutputBuffer()
-        b.add_id(0)
-        with pytest.raises(ValueError):
-            b.add_id(0)
-
-    def test_page_cache_retains_when_enabled(self):
-        # §4.2.1/§4.5: a broadcast join's build side arrives through shared
-        # buffers, and a later rebuild reads all of it from the cache
-        ex = join_sim(partitioned=False)
-        assert not ex.exe.out_buffers[3].shuffle
+class TestCachedBuildSide:
+    @pytest.mark.parametrize("partitioned", [False, True], ids=["broadcast", "partitioned"])
+    def test_rebuild_reads_the_whole_build_side(self, partitioned):
+        # §4.2.1/§4.5: the build side arrives through the children's output
+        # buffers, and a later rebuild (broadcast growth or partitioned
+        # switch) reads all of it again from their page cache
+        ex = join_sim(partitioned=partitioned)
         build_bytes = RuntimeInfoCollector(ex).collect()[1].build_bytes
         assert build_bytes == pytest.approx(0.2 * GB)
         out = ex.set_stage_dop(1, 2)
-        assert out.applied and out.rebuild.build_bytes == build_bytes
-
-
-class TestShuffleBuffer:
-    def test_executor_count_tracks_downstream_tasks(self):
-        # §4.2.1: number of shuffle executors == number of downstream tasks
-        # in the group (one buffer id each)
-        b = OutputBuffer(shuffle=True)
-        for bid in (0, 1, 2):
-            b.add_id(bid)
-        assert len(b.groups[-1]) == 3
-        b.add_id(3)
-        assert len(b.groups[-1]) == 4
-
-    def test_task_groups_for_dop_switching(self):
-        # §4.5: buffer-ID groups form task groups; a new group serves the
-        # new distributed hash table while the old one still serves probes
-        b = OutputBuffer(shuffle=True)
-        b.add_id(0)
-        b.add_id(1)
-        b.add_id(2, new_group=True)
-        b.add_id(3)
-        b.add_id(4)
-        assert b.groups == [[0, 1], [2, 3, 4]]
-        assert b.buffer_ids == [0, 1, 2, 3, 4]
-
-    def test_retire_group(self):
-        b = OutputBuffer(shuffle=True)
-        b.add_id(0)
-        b.add_id(1)
-        b.add_id(2, new_group=True)
-        b.add_id(3)
-        b.remove_id(0)
-        b.remove_id(1)
-        # the emptied group is gone, not left behind as []
-        assert b.groups == [[2, 3]]
-        with pytest.raises(KeyError):
-            b.remove_id(0)
-
-    def test_page_cache(self):
-        # §4.2.1: the cached build side is what a DOP switch reshuffles
-        ex = join_sim(partitioned=True)
-        assert ex.exe.out_buffers[3].shuffle
-        build_bytes = RuntimeInfoCollector(ex).collect()[1].build_bytes
-        assert build_bytes == pytest.approx(0.2 * GB)
-        out = ex.set_stage_dop(1, 2)
-        assert out.applied and out.rebuild.partitioned
+        assert out.applied and out.rebuild.partitioned == partitioned
         assert out.rebuild.build_bytes == build_bytes
 
 

@@ -1,9 +1,9 @@
-"""Object-level integration: the topology a worker keeps — output-buffer
-IDs and task groups (the simulator's model of §4.3's remote split sets),
-driver counts — wired together by
-the scheduler the way the coordinator drives it, and the executor moving
-bytes over it: scan -> output buffer -> downstream task, the end signal,
-drivers as the unit of processing.
+"""Object-level integration: the topology a worker keeps — the stages'
+task lists (whose parent tasks are a child's buffer-ID array and whose
+child tasks are a task's remote split set, §4.2.1/§4.3) and driver counts —
+wired together by the scheduler the way the coordinator drives it, and the
+executor moving bytes over it: scan -> output buffer -> downstream task,
+the end signal, drivers as the unit of processing.
 """
 import pytest
 
@@ -59,13 +59,12 @@ class TestPageFlow:
         assert s4.produced == pytest.approx(sel * s4.consumed)
 
     def test_shuffle_buffer_partitions_across_downstream_tasks(self, q2j_exe):
-        # Q2J's scan stages feed a partitioned join through shuffle buffers
-        # whose one task group holds a buffer id (hash partition) per S1 task
-        buf = q2j_exe.out_buffers[2]
-        assert buf.shuffle
-        s1_seqs = [t.seq for t in q2j_exe.stages[1].tasks]
-        assert len(s1_seqs) == 2
-        assert buf.groups == [s1_seqs]
+        # Q2J's scan stages feed a partitioned join, hash-partitioning their
+        # output into one task group: a partition per S1 task
+        tree = q2j_exe.tree
+        assert tree[1].partitioned
+        assert tree.parent_of(2) == tree.parent_of(3) == 1
+        assert [t.task_id for t in q2j_exe.stages[1].tasks] == ["task1_0", "task1_1"]
 
 
 class TestEndPageProtocol:
@@ -103,31 +102,31 @@ class TestEndPageProtocol:
 
     def test_remove_task_end_to_end(self, q2j_exe):
         """§4.4 decreasing stage DOP: end signals to child buffers, the
-        victim leaves the stage the parent reads, buffer ids retired."""
+        victim leaves the stage the parent reads and the child buffers
+        serve, and its drivers leave its node."""
         sched = DynamicScheduler(q2j_exe)
         sched.add_tasks(1, 1)  # S1: 2 -> 3 tasks
+        drivers = sum(n.active_drivers for n in q2j_exe.cluster.nodes)
         victims, _ = sched.remove_tasks(1, 1)
-        victim_seq = victims[0].seq
-        live = [t.seq for t in q2j_exe.stages[1].tasks]
-        assert victim_seq not in live
-        for cid in (2, 3):
-            assert victim_seq not in q2j_exe.out_buffers[cid].buffer_ids
-            assert sorted(q2j_exe.out_buffers[cid].buffer_ids) == sorted(live)
+        assert [t.task_id for t in victims] == ["task1_2"]
+        assert [t.task_id for t in q2j_exe.stages[1].tasks] == ["task1_0", "task1_1"]
+        assert sum(n.active_drivers for n in q2j_exe.cluster.nodes) == drivers - victims[0].dop
 
 
 class TestIntraTaskDopObjectLevel:
     def test_new_driver_uses_global_remote_split_set(self, q3_exe):
-        # §4.3: new drivers read through the task's existing buffer ids
-        # without the coordinator: no buffer id or task is added
+        # §4.3: new drivers read through the task's existing remote split
+        # set — its children's tasks — without the coordinator: no task is
+        # added or moved, and only the task's node takes the new drivers
         task = q3_exe.stages[1].tasks[0]
-        ids_before = {cid: list(b.groups) for cid, b in q3_exe.out_buffers.items()}
         tasks_before = {sid: list(st.tasks) for sid, st in q3_exe.stages.items()}
-        task.set_dop(3)
+        drivers = [n.active_drivers for n in q3_exe.cluster.nodes]
+        q3_exe.set_drivers(task, 3)
         assert task.dop == 3
-        assert {cid: b.groups for cid, b in q3_exe.out_buffers.items()} == ids_before
         assert {sid: st.tasks for sid, st in q3_exe.stages.items()} == tasks_before
-        for cid in (2, 3):
-            assert task.seq in q3_exe.out_buffers[cid].buffer_ids
+        assert [n.active_drivers - d for n, d in zip(q3_exe.cluster.nodes, drivers)] == [
+            2 if n.node_id == task.node_id else 0 for n in q3_exe.cluster.nodes
+        ]
 
     def test_drivers_process_independently(self, q3_sim):
         # each driver adds its own processing rate; closing one leaves the
@@ -143,10 +142,10 @@ class TestIntraTaskDopObjectLevel:
 
 class TestSharedBufferDownstreamGrowth:
     def test_new_parent_task_gets_buffer_id_dynamically(self, q3_exe):
-        # §4.2.1: buffer-ID array adapts when the downstream stage grows
-        sched = DynamicScheduler(q3_exe)
-        buf = q3_exe.out_buffers[4]
-        assert not buf.shuffle
-        before = list(buf.buffer_ids)
-        sched.add_tasks(3, 2)
-        assert len(buf.buffer_ids) == len(before) + 2
+        # §4.2.1: S4's shared buffer serves S3's tasks, so its buffer-ID
+        # array grows with S3 while S4 itself is untouched
+        s4_tasks = list(q3_exe.stages[4].tasks)
+        assert q3_exe.tree.parent_of(4) == 3 and not q3_exe.tree[3].partitioned
+        DynamicScheduler(q3_exe).add_tasks(3, 2)
+        assert [t.task_id for t in q3_exe.stages[3].tasks] == ["task3_0", "task3_1", "task3_2"]
+        assert q3_exe.stages[4].tasks == s4_tasks

@@ -422,22 +422,26 @@ class TestByteElasticBuffer:
 
 
 def _assert_topology_consistent(ex):
-    """ROADMAP aim 3's engine invariants over the scheduler's topology."""
+    """ROADMAP aim 3's engine invariants over the scheduler's topology: the
+    stages' task lists, the nodes' driver counts, and each partitioned
+    join's task groups (the old group, and a switch's ``new_task_ids``)."""
     exe = ex.exe
     tasks = [t for stage in exe.stages.values() for t in stage.tasks]
     assert sum(n.active_drivers for n in exe.cluster.nodes) == sum(t.dop for t in tasks)
-    root_buf = exe.out_buffers[ex.query.tree.root_id]
-    assert root_buf.buffer_ids == [] and all(root_buf.groups)
     for sid, st in ex.states.items():
         sources = ex.query.tree[sid].sources
-        # each child's output buffer serves exactly this stage's tasks
-        seqs = sorted(t.seq for t in st.stage.tasks)
-        for s in sources:
-            buf = exe.out_buffers[s.child_stage_id]
-            assert sorted(buf.buffer_ids) == seqs, s.child_stage_id
-            assert all(buf.groups), s.child_stage_id  # no empty task group left behind
+        ids = [t.task_id for t in st.stage.tasks]
+        assert len(set(ids)) == len(ids), sid  # task ids are unique within a stage
+        op = st.pending_switch
+        if op is not None:
+            # §4.5 mid-switch: a non-empty old group, then exactly the new one
+            k = len(op.new_task_ids)
+            assert ids[-k:] == op.new_task_ids and ids[:-k], sid
         if st.partitioned and not st.ended:
             assert ex._probing_tasks(st), sid  # never an empty probe side
+            switches = [o for o in ex.rebuild_log if o.stage_id == sid]
+            if switches and switches[-1] is not op:  # the last switch is done
+                assert ids == switches[-1].new_task_ids, sid  # only its group is left
         # bytes are conserved on every edge: what the feeders produced was
         # consumed or still sits in the buffer
         fed = sum(ex.states[s.child_stage_id].produced for s in sources if s.role != "build")
@@ -460,24 +464,25 @@ def _assert_topology_consistent(ex):
 
 class TestTopology:
     def test_partitioned_switch_retires_old_group(self):
-        # §4.5: after a 2 -> 4 switch the children's buffers serve exactly
-        # the new task group, and the retired tasks leave the stage the
-        # parent reads
+        # §4.5: during a 2 -> 4 switch the stage holds the old group and the
+        # new one; once it is done, only the new group is left, and the
+        # retired tasks' drivers are released
         ex = SimExecutor(QUERIES["Q2J"].sim_query(), stage_dop=2)
         while ex.t < 120.0:
             ex.step()
+        drivers = sum(n.active_drivers for n in ex.cluster.nodes)
         assert ex.set_stage_dop(1, 4).applied
-        assert ex.exe.out_buffers[2].groups == [[0, 1], [2, 3, 4, 5]]
+        op = ex.states[1].pending_switch
+        assert op.new_task_ids == ["task1_2", "task1_3", "task1_4", "task1_5"]
+        assert [t.task_id for t in ex.exe.stages[1].tasks] == ["task1_0", "task1_1", *op.new_task_ids]
+        assert sum(n.active_drivers for n in ex.cluster.nodes) == drivers + 4
+        _assert_topology_consistent(ex)
         while ex.states[1].pending_switch is not None:
             ex.step()
-        new_seqs = [t.seq for t in ex.exe.stages[1].tasks]
-        assert new_seqs == [2, 3, 4, 5]
-        for cid in (2, 3):
-            assert ex.exe.out_buffers[cid].buffer_ids == new_seqs
-            assert ex.exe.out_buffers[cid].groups == [new_seqs]
-        retired = {"task1_0", "task1_1"}
-        assert retired.isdisjoint(t.task_id for t in ex.exe.stages[1].tasks)
-        assert ex.exe.out_buffers[1].buffer_ids == [t.seq for t in ex.exe.stages[0].tasks]
+        assert ex.state_transfers == [op]
+        assert [t.task_id for t in ex.exe.stages[1].tasks] == op.new_task_ids
+        assert sum(n.active_drivers for n in ex.cluster.nodes) == drivers + 2
+        _assert_topology_consistent(ex)
 
     def test_pinned_scan_stage_grows_on_its_nodes(self):
         # QSHUF stores orders (S2) on storage0/storage1 (§6.4.2): the tasks

@@ -1,7 +1,6 @@
-"""Tests for splits (repro.engine.splits) and the buffer-id table that
-models remote splits."""
+"""Tests for splits (repro.engine.splits) and the remote split sets read
+from the stages' task lists."""
 import pandas as pd
-import pytest
 
 from repro.cluster import Cluster
 from repro.engine.plan import fragment_plan
@@ -51,30 +50,33 @@ class TestSplitSource:
 
 class TestRemoteSplitSet:
     """§4.3's remote split set, as the simulator keeps it: a task reads
-    from every live task of its child stages through its buffer id in their
-    output buffers."""
+    from every live task of its child stages, read from their task lists."""
 
     def _exe(self):
         return schedule_query(fragment_plan(q3_plan()), Cluster.presto_testbed(), stage_dop=2)
 
     def test_add_and_addresses_sorted(self):
+        # a new S1 task reads from the same child tasks as the old ones
         exe = self._exe()
         DynamicScheduler(exe).add_tasks(1, 1)
-        seqs = [t.seq for t in exe.stages[1].tasks]
-        assert seqs == [0, 1, 2]
+        assert [t.seq for t in exe.stages[1].tasks] == [0, 1, 2]
         for cid in (2, 3):
-            assert exe.out_buffers[cid].buffer_ids == seqs
+            assert exe.tree.parent_of(cid) == 1
+            assert [t.seq for t in exe.stages[cid].tasks] == [0, 1]
 
-    def test_add_idempotent(self):
-        exe = self._exe()
-        with pytest.raises(ValueError):
-            exe.out_buffers[2].add_id(exe.stages[1].tasks[0].seq)
-        assert exe.out_buffers[2].buffer_ids == [0, 1]
-
-    def test_remove_task(self):
-        # §4.4: a retired task's buffer ids leave its children's buffers
+    def test_ids_never_reused(self):
+        # a retired task's id is not handed out again, so a child's buffer
+        # never serves two tasks under one id
         exe = self._exe()
         exe.retire_task(exe.stages[1].tasks[0])
-        for cid in (2, 3):
-            assert exe.out_buffers[cid].buffer_ids == [1]
+        DynamicScheduler(exe).add_tasks(1, 1)
+        assert [t.task_id for t in exe.stages[1].tasks] == ["task1_1", "task1_2"]
+
+    def test_remove_task(self):
+        # §4.4: a retired S1 task leaves S1's task list, which is the
+        # buffer-ID array of S2's and S3's output buffers; they keep theirs
+        exe = self._exe()
+        exe.retire_task(exe.stages[1].tasks[0])
         assert [t.task_id for t in exe.stages[1].tasks] == ["task1_1"]
+        for cid in (2, 3):
+            assert [t.seq for t in exe.stages[cid].tasks] == [0, 1]

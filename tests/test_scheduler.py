@@ -1,4 +1,7 @@
 """Tests for static scheduling and the dynamic scheduler (§4.3–§4.4)."""
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import Cluster
@@ -51,24 +54,14 @@ class TestScheduleQuery:
         assert [t.node_id for t in exe.stages[2].tasks] == ["storage0", "storage1"]
 
     def test_bottom_up_wiring(self):
-        # every parent task holds a buffer id in each child stage's output
-        # buffer, so it reads from all of that stage's tasks
+        # each child stage's output buffer serves every task of its parent
+        # (all-to-all exchange), so the parent's task list is that buffer's
+        # id array: S1's two tasks read from both tasks of S2 and of S3
         exe = _q3_exe(stage_dop=2)
-        s1_seqs = [t.seq for t in exe.stages[1].tasks]
-        assert s1_seqs == [0, 1]
+        assert [t.task_id for t in exe.stages[1].tasks] == ["task1_0", "task1_1"]
         for cid in (2, 3):
-            assert exe.out_buffers[cid].buffer_ids == s1_seqs
+            assert exe.tree.parent_of(cid) == 1
             assert [t.task_id for t in exe.stages[cid].tasks] == [f"task{cid}_0", f"task{cid}_1"]
-
-    def test_partitioned_join_children_get_shuffle_buffers(self):
-        exe = _q2j_exe()
-        assert exe.out_buffers[2].shuffle
-        assert exe.out_buffers[3].shuffle
-        assert not exe.out_buffers[1].shuffle
-
-    def test_broadcast_join_children_get_shared_buffers(self):
-        exe = _q3_exe()
-        assert not exe.out_buffers[2].shuffle
 
     def test_init_rpc_accounting(self):
         # paper Q3: 65 requests, ~313 ms (1–10 ms each)
@@ -76,12 +69,17 @@ class TestScheduleQuery:
         assert 55 <= exe.init_rpc_requests <= 75
         assert 0.1 <= exe.init_time_s <= 0.8
 
-    def test_node_driver_accounting(self):
+    @pytest.mark.parametrize("stage_dop,task_dop", [(1, 2), (3, 2)], ids=["1x2", "E6-3x2"])
+    def test_node_driver_accounting(self, stage_dop, task_dop):
+        # the final-stage pin retires S0's extra tasks and closes its extra
+        # drivers; the nodes release exactly those
         cluster = Cluster.presto_testbed()
-        schedule_query(fragment_plan(q3_plan()), cluster, stage_dop=1, task_dop=2)
+        exe = schedule_query(fragment_plan(q3_plan()), cluster,
+                             stage_dop=stage_dop, task_dop=task_dop)
         total = sum(n.active_drivers for n in cluster.nodes)
-        # 5 non-final stages x 2 drivers + final stage x 1
-        assert total == 11
+        assert total == sum(t.dop for s in exe.stages.values() for t in s.tasks)
+        # 5 non-final stages x stage_dop tasks x task_dop drivers + final stage x 1
+        assert total == 5 * stage_dop * task_dop + 1
 
 
 class TestDynamicScheduler:
@@ -106,17 +104,17 @@ class TestDynamicScheduler:
 
     def test_add_tasks_three_steps(self):
         # §4.4: the new task joins its stage, which the parent reads through
-        # the stage's output buffer, and holds a buffer id in every child
-        # stage's output buffer
+        # the stage's output buffer; it reads from every live task of the
+        # child stages, which stay as they are; its drivers occupy its node
         exe = _q3_exe()
-        sched = DynamicScheduler(exe)
-        new, cost = sched.add_tasks(3, 1)
+        children = {cid: list(exe.stages[cid].tasks) for cid in (4, 5)}
+        drivers = sum(n.active_drivers for n in exe.cluster.nodes)
+        new, cost = DynamicScheduler(exe).add_tasks(3, 1)
         task = new[0]
-        assert exe.stages[3].dop == 2 and task in exe.stages[3].tasks
-        for cid in (4, 5):
-            assert task.seq in exe.out_buffers[cid].buffer_ids
-            assert exe.out_buffers[cid].buffer_ids == [t.seq for t in exe.stages[3].tasks]
-        assert exe.out_buffers[3].buffer_ids == [t.seq for t in exe.stages[1].tasks]
+        assert [t.task_id for t in exe.stages[3].tasks] == ["task3_0", task.task_id]
+        assert {cid: exe.stages[cid].tasks for cid in (4, 5)} == children
+        assert exe.tree.parent_of(3) == 1
+        assert sum(n.active_drivers for n in exe.cluster.nodes) == drivers + task.dop
         assert cost > 0
 
     def test_add_tasks_final_stage_rejected(self):
@@ -124,24 +122,24 @@ class TestDynamicScheduler:
         with pytest.raises(ValueError):
             DynamicScheduler(exe).add_tasks(0, 1)
 
-    def test_add_tasks_allocates_buffer_ids(self):
+    def test_add_tasks_extends_the_readers(self):
+        # the children's buffers serve the parent's tasks: two new S1 tasks
+        # with fresh ids, on top of the two it had
         exe = _q2j_exe()
-        sched = DynamicScheduler(exe)
-        before = len(exe.out_buffers[2].buffer_ids)
-        sched.add_tasks(1, 2)
-        assert len(exe.out_buffers[2].buffer_ids) == before + 2
+        new, _ = DynamicScheduler(exe).add_tasks(1, 2)
+        assert [t.task_id for t in new] == ["task1_2", "task1_3"]
+        assert [t.seq for t in exe.stages[1].tasks] == [0, 1, 2, 3]
 
     def test_remove_tasks_drops_addresses(self):
-        # §4.4: end signal path — the victim leaves its stage, which the
-        # parents read, and its buffer ids leave the children's buffers
+        # §4.4: end signal path — the victim leaves its stage, which both
+        # its parent reads and its children's buffers serve; the children
+        # keep their tasks
         exe = _q3_exe(stage_dop=3)
-        sched = DynamicScheduler(exe)
-        victims, _ = sched.remove_tasks(3, 1)
-        assert exe.stages[3].dop == 2
-        assert victims[0] not in exe.stages[3].tasks
-        for cid in (4, 5):
-            assert victims[0].seq not in exe.out_buffers[cid].buffer_ids
-            assert exe.out_buffers[cid].buffer_ids == [t.seq for t in exe.stages[3].tasks]
+        children = {cid: list(exe.stages[cid].tasks) for cid in (4, 5)}
+        victims, _ = DynamicScheduler(exe).remove_tasks(3, 1)
+        assert [t.task_id for t in victims] == ["task3_2"]
+        assert [t.task_id for t in exe.stages[3].tasks] == ["task3_0", "task3_1"]
+        assert {cid: exe.stages[cid].tasks for cid in (4, 5)} == children
 
     def test_remove_tasks_releases_node_drivers(self):
         exe = _q3_exe(stage_dop=2, task_dop=2)
@@ -149,3 +147,73 @@ class TestDynamicScheduler:
         before = exe.cluster.node(node_id).active_drivers
         DynamicScheduler(exe).remove_tasks(3, 1)
         assert exe.cluster.node(node_id).active_drivers == before - 2
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def driver_writers(source: str) -> list[tuple[int, str]]:
+    """(line, function) for each change of a driver count in ``source``: a
+    call of ``add_drivers`` or ``remove_drivers``, and a store, delete or
+    ``setattr`` of a ``dop`` attribute. The function is the enclosing
+    ``Class.method`` (``<module>`` outside any function)."""
+    found = []
+
+    def visit(node, scope: list[str], in_fn: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name], True)
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], in_fn)
+                continue
+            where = ".".join(scope) if in_fn else "<module>"
+            if (isinstance(child, ast.Attribute) and child.attr == "dop"
+                    and isinstance(child.ctx, (ast.Store, ast.Del))):
+                found.append((child.lineno, where))
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Attribute) and func.attr in ("add_drivers", "remove_drivers"):
+                    found.append((child.lineno, where))
+                elif (isinstance(func, ast.Name) and func.id == "setattr"
+                      and any(isinstance(a, ast.Constant) and a.value == "dop" for a in child.args)):
+                    found.append((child.lineno, where))
+            visit(child, scope, in_fn)
+
+    visit(ast.parse(source), [], False)
+    return sorted(found)
+
+
+class TestDriverAccountingGuard:
+    """Driver accounting has one home: no function under ``src/`` but
+    ``QueryExecution``'s methods changes a task's or a node's driver count,
+    so node ``active_drivers`` cannot drift from the sum of task DOPs."""
+
+    @pytest.mark.parametrize("path", sorted(str(p.relative_to(SRC)) for p in SRC.rglob("*.py")))
+    def test_only_query_execution_changes_drivers(self, path):
+        writers = driver_writers((SRC / path).read_text())
+        assert [w for w in writers if not w[1].startswith("QueryExecution.")] == []
+
+    def test_query_execution_is_the_writer(self):
+        writers = driver_writers((SRC / "repro" / "engine" / "scheduler.py").read_text())
+        assert {name for _, name in writers} == {
+            "QueryExecution.add_task", "QueryExecution.set_drivers", "QueryExecution.retire_task",
+        }
+
+    def test_detector_flags_each_form(self):
+        src = (
+            "class QueryExecution:\n"
+            "    def set_drivers(self, task, n):\n        task.dop = n\n"
+            "class DynamicScheduler:\n"
+            "    def grow(self, node, t):\n        node.add_drivers(2)\n        t.dop += 2\n"
+            "    def shrink(self, t):\n        self.exe.cluster.node(t.node_id).remove_drivers(1)\n"
+            "def pin(t):\n    setattr(t, 'dop', 1)\n"
+            "def drop(t):\n    del t.dop\n"
+            "def read(stage):\n    return Info(dop=stage.dop, n=stage.task_dop)\n"
+            "t = T()\nt.dop = 2\n"
+        )
+        assert driver_writers(src) == [
+            (3, "QueryExecution.set_drivers"), (6, "DynamicScheduler.grow"),
+            (7, "DynamicScheduler.grow"), (9, "DynamicScheduler.shrink"), (11, "pin"),
+            (13, "drop"), (17, "<module>"),
+        ]

@@ -5,7 +5,7 @@ from repro.cluster import Cluster
 from repro.core import RuntimeInfoCollector, consumed_between, rate_at
 from repro.engine import plan as P
 from repro.engine.exec_sim import SimExecutor
-from repro.engine.scheduler import schedule_query
+from repro.engine.scheduler import DynamicScheduler, schedule_query
 from repro.engine.stage import Stage
 from repro.engine.task import Task
 from repro.queries.tpch import q3_plan
@@ -23,22 +23,28 @@ class TestTask:
         assert t.task_id == "task3_2"
         assert t.node_id == "compute0"
 
-    def test_set_dop_spawns_and_closes_drivers(self):
-        t = Task(2, 0, "compute0")
-        assert t.set_dop(4) == 4
-        assert t.dop == 4
-        assert t.set_dop(2) == 2
+    def test_set_drivers_spawns_and_closes_drivers(self):
+        # §4.3: the task's node takes the spawned drivers and releases the
+        # closed ones
+        exe = schedule_query(P.fragment_plan(q3_plan()), Cluster.presto_testbed())
+        t = exe.stages[2].tasks[0]
+        node = exe.cluster.node(t.node_id)
+        before = node.active_drivers
+        exe.set_drivers(t, 4)
+        assert (t.dop, node.active_drivers) == (4, before + 3)
+        exe.set_drivers(t, 2)
+        assert (t.dop, node.active_drivers) == (2, before + 1)
 
     def test_remote_split_wiring(self):
-        # a task's upstream tasks are the child stage's live tasks, which it
-        # reads through its buffer id in that stage's output buffer
+        # a task's upstream tasks are the child stage's live tasks: retiring
+        # one shrinks the set, and the reading task stays as it is
         exe = schedule_query(P.fragment_plan(q3_plan()), Cluster.presto_testbed(), stage_dop=2)
         t = exe.stages[1].tasks[0]
+        assert exe.tree.parent_of(2) == t.stage_id
         assert [c.task_id for c in exe.stages[2].tasks] == ["task2_0", "task2_1"]
-        assert t.seq in exe.out_buffers[2].buffer_ids
         exe.retire_task(exe.stages[2].tasks[0])
         assert [c.task_id for c in exe.stages[2].tasks] == ["task2_1"]
-        assert t.seq in exe.out_buffers[2].buffer_ids
+        assert t in exe.stages[1].tasks and t.dop == 1
 
 
 class TestStage:
@@ -54,15 +60,15 @@ class TestStage:
         a = s.new_task("compute0")
         s.remove_task(a)
         b = s.new_task("compute1")
-        assert b.seq == 1  # seq numbers never reused (buffer ids stay unique)
+        assert b.seq == 1  # seq numbers never reused (task ids stay unique)
 
     def test_task_dop_uniform(self):
-        s = Stage(2, _scan_fragment())
-        s.new_task("compute0")
-        s.new_task("compute1")
-        s.set_task_dop(3)
+        # a task-DOP change sets every task of the stage
+        exe = schedule_query(P.fragment_plan(q3_plan()), Cluster.presto_testbed(), stage_dop=2)
+        DynamicScheduler(exe).set_task_dop(2, 3)
+        s = exe.stages[2]
         assert s.task_dop == 3
-        assert sum(t.dop for t in s.tasks) == 6
+        assert [t.dop for t in s.tasks] == [3, 3]
 
     def test_empty_stage(self):
         s = Stage(2, _scan_fragment())
